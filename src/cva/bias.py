@@ -42,14 +42,10 @@ def _scored_events(trajectories: Iterable[QuestionTrajectory],
                 traj.answers[ev.answer_index].answer_id, ev.context
 
 
-def herding_degree(model: CommunityModel,
-                   trajectories: Iterable[QuestionTrajectory],
-                   drop_first: bool = True) -> float:
-    """Geometric-mean majority-agreement odds over the scored votes.
-
-    Accumulates in log domain; a literal product over thousands of odds
-    would under- or overflow.
-    """
+def _herding(model: CommunityModel,
+             trajectories: Iterable[QuestionTrajectory],
+             drop_first: bool) -> tuple[float, int]:
+    """(herding degree, number of scored votes) from one walk."""
     log_sum = 0.0
     n = 0
     for qid, aid, ctx in _scored_events(trajectories, drop_first):
@@ -59,17 +55,27 @@ def herding_degree(model: CommunityModel,
         n += 1
     if n == 0:
         raise ValueError("no events to score")
-    return math.exp(log_sum / n)
+    return math.exp(log_sum / n), n
+
+
+def herding_degree(model: CommunityModel,
+                   trajectories: Iterable[QuestionTrajectory],
+                   drop_first: bool = True) -> float:
+    """Geometric-mean majority-agreement odds over the scored votes.
+
+    Accumulates in log domain; a literal product over thousands of odds
+    would under- or overflow.
+    """
+    return _herding(model, trajectories, drop_first)[0]
 
 
 def profile_community(model: CommunityModel,
                       trajectories: Sequence[QuestionTrajectory],
                       community: str = "community") -> BiasProfile:
-    n = sum(1 for _ in _scored_events(trajectories, drop_first=True))
+    degree, n = _herding(model, trajectories, drop_first=True)
     return BiasProfile(community=community,
                        position_sensitivity=model.beta,
-                       herding_degree=herding_degree(model, trajectories),
-                       n_events=n)
+                       herding_degree=degree, n_events=n)
 
 
 def map_coordinates(profiles: Sequence[BiasProfile]

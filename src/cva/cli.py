@@ -27,8 +27,7 @@ from .model import load_model, save_model
 from .simulate import generate, parse_sim_config, scale_truth
 from .trainer import FitConfig, TOY_TICKS, fit, parse_fit_config, \
     toy_quality_curves
-from .trajectory import read_trajectories, reconstruct_contexts, \
-    write_trajectories
+from .trajectory import read_trajectories, write_trajectories
 
 EX_OK = 0
 EX_COMMUNITY_TOO_SMALL = 2
@@ -48,14 +47,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EX_USAGE)
 
 
-def _add_threads(parser) -> None:
-    parser.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="worker pool size; processing is sequential "
-                             "and results never depend on N")
-
-
-def _load_contextualized(path):
-    return [reconstruct_contexts(t) for t in read_trajectories(path)]
+def _curve_ranks(text: str) -> int:
+    """--ranks: the power-law fit needs at least 3 curve points."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 3:
+        raise argparse.ArgumentTypeError(f"must be >= 3, got {value}")
+    return value
 
 
 def _write_csv(path, header, rows) -> None:
@@ -91,7 +91,7 @@ def _cmd_fit(args) -> int:
     if args.freeze_beta is not None:
         config = FitConfig(**{**config.__dict__,
                               "freeze_beta": args.freeze_beta})
-    trajs = _load_contextualized(args.input)
+    trajs = read_trajectories(args.input)
     model = fit(trajs, config)
     save_model(model, args.out)
     meta = model.fit_meta
@@ -106,7 +106,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_quality(args) -> int:
     model = load_model(args.model)
-    trajs = _load_contextualized(args.input)
+    trajs = read_trajectories(args.input)
     population = build_population(trajs, seed=args.seed)
     aggregate = "per_time_sum" if args.mode == "per-time-sum" else "mean"
     q_hat = estimate_quality(model, trajs, population, aggregate=aggregate,
@@ -149,7 +149,7 @@ def _cmd_toy(args) -> int:
 
 def _cmd_profile(args) -> int:
     model = load_model(args.model)
-    trajs = _load_contextualized(args.input)
+    trajs = read_trajectories(args.input)
     community = args.community or Path(args.input).stem
     profile = profile_community(model, trajs, community=community)
     save_profile(profile, args.out)
@@ -176,7 +176,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_counterfactual(args) -> int:
     model = load_model(args.model)
-    trajs = _load_contextualized(args.input)
+    trajs = read_trajectories(args.input)
     curve_rows = []
     fits = {}
     for mood in MOODS:
@@ -202,7 +202,7 @@ def _cmd_counterfactual(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    trajs = _load_contextualized(args.input)
+    trajs = read_trajectories(args.input)
     model = load_model(args.model)
     ablation = load_model(args.ablation)
     labels = load_labels(args.labels)
@@ -239,7 +239,6 @@ def build_parser() -> _Parser:
     p.add_argument("--min-answers", type=int, default=5)
     p.add_argument("--min-questions", type=int, default=100)
     p.add_argument("--reject-log", default=None)
-    _add_threads(p)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("fit", help="fit a community model")
@@ -249,7 +248,6 @@ def build_parser() -> _Parser:
     p.add_argument("--freeze-beta", type=float, default=None,
                    help="hold the position coefficient at this value "
                         "(0 gives the no-position ablation)")
-    _add_threads(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("quality", help="debiased quality estimates")
@@ -261,7 +259,6 @@ def build_parser() -> _Parser:
                    default="false")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_threads(p)
     p.set_defaults(func=_cmd_quality)
 
     p = sub.add_parser("simulate", help="generate semi-synthetic "
@@ -293,10 +290,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("counterfactual", help="rank/mood what-if curves")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--ranks", type=int, default=10)
+    p.add_argument("--ranks", type=_curve_ranks, default=10,
+                   help="curve length, at least 3")
     p.add_argument("--out", required=True)
     p.add_argument("--powerlaw-out", default=None)
-    _add_threads(p)
     p.set_defaults(func=_cmd_counterfactual)
 
     p = sub.add_parser("evaluate", help="compare rankers against labels")
@@ -309,7 +306,6 @@ def build_parser() -> _Parser:
                    help="rank by raw fitted quality instead of the "
                         "debiased estimate")
     p.add_argument("--out", required=True)
-    _add_threads(p)
     p.set_defaults(func=_cmd_evaluate)
     return parser
 
@@ -319,8 +315,6 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except OSError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 REL_LENGTH_CLIP = 3.0
 NEUTRAL_POS_RATIO = 0.5  # ratio before an answer has received any vote
@@ -65,64 +65,101 @@ class QuestionTrajectory:
         return None
 
 
-def _validate(traj: QuestionTrajectory) -> None:
-    n_accepted = sum(1 for a in traj.answers if a.accepted)
+def _replay(question_id: str, answers: tuple[Answer, ...],
+            raw_events: Iterable[tuple[int, int, int]]
+            ) -> tuple[VoteEvent, ...]:
+    """Validate one question and build its events, each with its context.
+
+    `raw_events` yields (answer_index, sign, timestamp) in chronological
+    order; time indices are assigned 1, 2, ... here. One replay carries
+    the vote counts, the prefix of answers that exist at the current
+    timestamp (answers are ordered by creation_time, events by timestamp)
+    and that prefix's log-length sum from vote to vote, so no vote
+    re-sorts the answers. Contexts use strictly earlier events only.
+    """
+    n_accepted = sum(1 for a in answers if a.accepted)
     if n_accepted > 1:
         raise MalformedTrajectoryError(
-            f"{traj.question_id}: {n_accepted} accepted answers")
-    for a in traj.answers:
+            f"{question_id}: {n_accepted} accepted answers")
+    acc = None
+    for i, a in enumerate(answers):
         if a.text_length < 1:
             raise MalformedTrajectoryError(
-                f"{traj.question_id}/{a.answer_id}: text_length < 1")
+                f"{question_id}/{a.answer_id}: text_length < 1")
         if a.accepted != (a.acceptance_time is not None):
             raise MalformedTrajectoryError(
-                f"{traj.question_id}/{a.answer_id}: acceptance_time must be "
+                f"{question_id}/{a.answer_id}: acceptance_time must be "
                 "present iff accepted")
-    times = [a.creation_time for a in traj.answers]
-    if times != sorted(times):
+        if a.accepted:
+            acc = i
+    created = [a.creation_time for a in answers]
+    if created != sorted(created):
         raise MalformedTrajectoryError(
-            f"{traj.question_id}: answers not ordered by creation_time")
+            f"{question_id}: answers not ordered by creation_time")
+    acc_time = answers[acc].acceptance_time if acc is not None else None
+    n = len(answers)
+    log_len = [math.log(a.text_length) for a in answers]
+    pos = [0] * n
+    neg = [0] * n
+    diff = [0] * n
+    n_existing = 0      # answers[:n_existing] exist at the current vote
+    ll_sum = 0.0        # their log-length sum, accumulated in index order
     prev_ts = None
-    for pos, ev in enumerate(traj.events):
-        if ev.sign not in (+1, -1):
+    events = []
+    for k, (j, sign, ts) in enumerate(raw_events, 1):
+        if sign not in (+1, -1):
             raise MalformedTrajectoryError(
-                f"{traj.question_id}: event sign {ev.sign} not in {{+1,-1}}")
-        if ev.time_index != pos + 1:
+                f"{question_id}: event sign {sign} not in {{+1,-1}}")
+        if prev_ts is not None and ts < prev_ts:
             raise MalformedTrajectoryError(
-                f"{traj.question_id}: time_index not contiguous from 1")
-        if prev_ts is not None and ev.timestamp < prev_ts:
+                f"{question_id}: events not ordered by timestamp")
+        prev_ts = ts
+        if not 0 <= j < n:
             raise MalformedTrajectoryError(
-                f"{traj.question_id}: events not ordered by timestamp")
-        prev_ts = ev.timestamp
-        if not 0 <= ev.answer_index < len(traj.answers):
+                f"{question_id}: answer_index {j} out of range")
+        if created[j] >= ts:
             raise MalformedTrajectoryError(
-                f"{traj.question_id}: answer_index {ev.answer_index} out of "
-                "range")
-        if traj.answers[ev.answer_index].creation_time >= ev.timestamp:
-            raise MalformedTrajectoryError(
-                f"{traj.question_id}: event at t={ev.timestamp} references "
-                f"answer created at t="
-                f"{traj.answers[ev.answer_index].creation_time}")
+                f"{question_id}: event at t={ts} references answer "
+                f"created at t={created[j]}")
+        while n_existing < n and created[n_existing] < ts:
+            ll_sum += log_len[n_existing]
+            n_existing += 1
 
+        # Display order is (-diff, creation_time, index); creation times
+        # ascend with the index, so on a diff tie only earlier answers
+        # rank ahead. The accepted answer leaves the display after its
+        # acceptance time unless it is the one being voted on.
+        dj = diff[j]
+        rank = 1
+        for d in diff[:j]:
+            if d >= dj:
+                rank += 1
+        for d in diff[j + 1:n_existing]:
+            if d > dj:
+                rank += 1
+        if acc is not None and acc != j and acc < n_existing \
+                and ts > acc_time \
+                and (diff[acc] > dj or (diff[acc] == dj and acc < j)):
+            rank -= 1
 
-def displayed_order(traj: QuestionTrajectory, diffs: Sequence[int],
-                    timestamp: int, voted_index: Optional[int] = None
-                    ) -> list[int]:
-    """Answer indices in display order at `timestamp`.
-
-    Ordering is by vote difference descending, earlier creation first on
-    ties. The accepted answer stops occupying a rank after its acceptance
-    time, except when it is itself the answer being voted on.
-    """
-    existing = [i for i, a in enumerate(traj.answers)
-                if a.creation_time < timestamp]
-    acc = traj.accepted_answer_index()
-    if (acc is not None and acc != voted_index
-            and traj.answers[acc].acceptance_time is not None
-            and timestamp > traj.answers[acc].acceptance_time):
-        existing = [i for i in existing if i != acc]
-    return sorted(existing,
-                  key=lambda i: (-diffs[i], traj.answers[i].creation_time))
+        # positional arguments: this loop builds every context of a load
+        n_pos, n_neg = pos[j], neg[j]
+        ratio = n_pos / (n_pos + n_neg) if n_pos + n_neg \
+            else NEUTRAL_POS_RATIO
+        rel_len = log_len[j] - ll_sum / n_existing
+        if rel_len > REL_LENGTH_CLIP:
+            rel_len = REL_LENGTH_CLIP
+        elif rel_len < -REL_LENGTH_CLIP:
+            rel_len = -REL_LENGTH_CLIP
+        events.append(VoteEvent(j, k, sign, ts,
+                                VoteContext(rank, ratio, rel_len, n_pos,
+                                            n_neg)))
+        if sign > 0:
+            pos[j] = n_pos + 1
+        else:
+            neg[j] = n_neg + 1
+        diff[j] = dj + sign
+    return tuple(events)
 
 
 def reconstruct_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
@@ -131,34 +168,14 @@ def reconstruct_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
     Contexts are computed from strictly earlier events only, so running
     this twice yields bit-identical results.
     """
-    _validate(traj)
-    pos = [0] * len(traj.answers)
-    neg = [0] * len(traj.answers)
-    log_len = [math.log(a.text_length) for a in traj.answers]
-    new_events = []
-    for ev in traj.events:
-        j = ev.answer_index
-        n_prior = pos[j] + neg[j]
-        ratio = pos[j] / n_prior if n_prior else NEUTRAL_POS_RATIO
-
-        diffs = [p - n for p, n in zip(pos, neg)]
-        order = displayed_order(traj, diffs, ev.timestamp, voted_index=j)
-        rank = order.index(j) + 1
-
-        existing = [i for i, a in enumerate(traj.answers)
-                    if a.creation_time < ev.timestamp]
-        mean_ll = sum(log_len[i] for i in existing) / len(existing)
-        rel_len = max(-REL_LENGTH_CLIP,
-                      min(REL_LENGTH_CLIP, log_len[j] - mean_ll))
-
-        ctx = VoteContext(rank=rank, pos_ratio=ratio, rel_length=rel_len,
-                          prior_pos=pos[j], prior_neg=neg[j])
-        new_events.append(replace(ev, context=ctx))
-        if ev.sign > 0:
-            pos[j] += 1
-        else:
-            neg[j] += 1
-    return replace(traj, events=tuple(new_events))
+    for pos, ev in enumerate(traj.events):
+        if ev.time_index != pos + 1:
+            raise MalformedTrajectoryError(
+                f"{traj.question_id}: time_index not contiguous from 1")
+    events = _replay(traj.question_id, traj.answers,
+                     ((ev.answer_index, ev.sign, ev.timestamp)
+                      for ev in traj.events))
+    return replace(traj, events=events)
 
 
 def drop_first_votes(traj: QuestionTrajectory) -> QuestionTrajectory:
@@ -191,6 +208,8 @@ def final_rel_lengths(traj: QuestionTrajectory) -> dict[str, float]:
     Centered log-length over all answers of the question, clipped the same
     way as event contexts.
     """
+    if not traj.answers:
+        return {}
     log_len = [math.log(a.text_length) for a in traj.answers]
     mean_ll = sum(log_len) / len(log_len)
     return {a.answer_id: max(-REL_LENGTH_CLIP,
@@ -204,7 +223,8 @@ def final_rel_lengths(traj: QuestionTrajectory) -> dict[str, float]:
 #   {"question_id": ..., "answers": [{"answer_id", "creation_time",
 #    "text_length", "accepted", "acceptance_time"}, ...],
 #    "events": [{"answer_index", "timestamp", "sign"}, ...]}
-# Contexts and time indices are derived state and never serialized.
+# Contexts and time indices are derived state and never serialized;
+# reading a line validates the question and replays its contexts.
 
 
 def trajectory_to_json_line(traj: QuestionTrajectory) -> str:
@@ -233,6 +253,7 @@ def trajectory_to_json_line(traj: QuestionTrajectory) -> str:
 
 
 def trajectory_from_json(obj: dict) -> QuestionTrajectory:
+    question_id = obj["question_id"]
     answers = tuple(
         Answer(
             answer_id=a["answer_id"],
@@ -243,17 +264,11 @@ def trajectory_from_json(obj: dict) -> QuestionTrajectory:
         )
         for a in obj["answers"]
     )
-    events = tuple(
-        VoteEvent(
-            answer_index=e["answer_index"],
-            time_index=k + 1,
-            sign=e["sign"],
-            timestamp=e["timestamp"],
-        )
-        for k, e in enumerate(obj["events"])
-    )
-    return QuestionTrajectory(question_id=obj["question_id"],
-                              answers=answers, events=events)
+    events = _replay(question_id, answers,
+                     ((e["answer_index"], e["sign"], e["timestamp"])
+                      for e in obj["events"]))
+    return QuestionTrajectory(question_id=question_id, answers=answers,
+                              events=events)
 
 
 def write_trajectories(trajs: Iterable[QuestionTrajectory], path) -> None:

@@ -1,11 +1,14 @@
 """Shared test helpers: random valid trajectories and brute-force oracles."""
 
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cva.trajectory import Answer, QuestionTrajectory, VoteEvent
+from cva.trajectory import (NEUTRAL_POS_RATIO, REL_LENGTH_CLIP, Answer,
+                            QuestionTrajectory, VoteContext, VoteEvent)
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
@@ -65,6 +68,48 @@ def oracle_rank(traj: QuestionTrajectory, event_pos: int) -> int:
     ordered = sorted(pool, key=lambda i: (-diffs[i],
                                           traj.answers[i].creation_time))
     return ordered.index(ev.answer_index) + 1
+
+
+def reference_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
+    """Contexts by re-sorting every answer at every vote.
+
+    The straightforward O(E*J log J) replay, kept as the reference that
+    the incremental replay in `cva.trajectory` must match bit for bit.
+    Expects a valid trajectory.
+    """
+    pos = [0] * len(traj.answers)
+    neg = [0] * len(traj.answers)
+    log_len = [math.log(a.text_length) for a in traj.answers]
+    acc = traj.accepted_answer_index()
+    new_events = []
+    for ev in traj.events:
+        j = ev.answer_index
+        n_prior = pos[j] + neg[j]
+        ratio = pos[j] / n_prior if n_prior else NEUTRAL_POS_RATIO
+
+        diffs = [p - n for p, n in zip(pos, neg)]
+        existing = [i for i, a in enumerate(traj.answers)
+                    if a.creation_time < ev.timestamp]
+        shown = existing
+        if (acc is not None and acc != j
+                and ev.timestamp > traj.answers[acc].acceptance_time):
+            shown = [i for i in existing if i != acc]
+        order = sorted(shown, key=lambda i: (-diffs[i],
+                                             traj.answers[i].creation_time))
+        rank = order.index(j) + 1
+
+        mean_ll = sum(log_len[i] for i in existing) / len(existing)
+        rel_len = max(-REL_LENGTH_CLIP,
+                      min(REL_LENGTH_CLIP, log_len[j] - mean_ll))
+
+        ctx = VoteContext(rank=rank, pos_ratio=ratio, rel_length=rel_len,
+                          prior_pos=pos[j], prior_neg=neg[j])
+        new_events.append(replace(ev, context=ctx))
+        if ev.sign > 0:
+            pos[j] += 1
+        else:
+            neg[j] += 1
+    return replace(traj, events=tuple(new_events))
 
 
 @pytest.fixture

@@ -124,6 +124,18 @@ class TestQuality:
             rows = list(csv.DictReader(fh))
         assert any(float(r["Q_hat"]) > 1.0 for r in rows)
 
+    def test_zero_answer_question_scores_the_rest(self, workspace, tmp_path):
+        # `ingest --min-answers 0` can emit a question with no answers
+        inp = tmp_path / "T.jsonl"
+        empty = {"question_id": "empty", "answers": [], "events": []}
+        inp.write_text((workspace / "T.jsonl").read_text()
+                       + json.dumps(empty) + "\n")
+        out, ref = tmp_path / "quality.csv", tmp_path / "reference.csv"
+        for path, out_path in ((inp, out), (workspace / "T.jsonl", ref)):
+            assert run("quality", "--model", str(workspace / "model.json"),
+                       "--input", str(path), "--out", str(out_path)) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
 
 class TestSimulate:
     def test_truth_csv_schema(self, workspace):
@@ -193,6 +205,16 @@ class TestCounterfactual:
         assert set(fits) == {"pos", "neutral", "neg"}
         for f in fits.values():
             assert f["b"] >= 0.0
+
+    @pytest.mark.parametrize("ranks", ["2", "x"])
+    def test_too_few_ranks_is_usage_error(self, workspace, tmp_path, ranks):
+        # the power-law fit needs 3 curve points
+        with pytest.raises(SystemExit) as exc:
+            run("counterfactual", "--model", str(workspace / "model.json"),
+                "--input", str(workspace / "T.jsonl"), "--ranks", ranks,
+                "--out", str(tmp_path / "curves.csv"))
+        assert exc.value.code == 64
+        assert not (tmp_path / "curves.csv").exists()
 
 
 class TestEvaluate:

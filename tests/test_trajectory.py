@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cva.trajectory import (Answer, MalformedTrajectoryError,
                             QuestionTrajectory, VoteEvent, drop_first_votes,
@@ -10,7 +11,7 @@ from cva.trajectory import (Answer, MalformedTrajectoryError,
                             read_trajectories, reconstruct_contexts,
                             trajectory_from_json, trajectory_to_json_line,
                             write_trajectories)
-from conftest import oracle_rank, random_trajectory
+from conftest import oracle_rank, random_trajectory, reference_contexts
 
 
 def make_traj(n_answers, votes, lengths=None, accepted=None,
@@ -118,6 +119,112 @@ class TestReconstructContexts:
                 assert diffs[a.answer_id] == manual
 
 
+def interleaved_trajectory(rng: np.random.Generator, question_id="q"
+                           ) -> QuestionTrajectory:
+    """A valid trajectory whose answers appear between votes.
+
+    Creation times come from a narrow range (ties), signs are even odds
+    (vote-difference ties), timestamps may repeat, and an accepted answer
+    is accepted halfway through, so it is voted on before and after.
+    """
+    n_answers = int(rng.integers(1, 7))
+    creations = np.sort(rng.integers(0, 12, size=n_answers))
+    stamps = np.cumsum(rng.integers(0, 3, size=int(rng.integers(1, 60))))
+    acc = int(rng.integers(0, n_answers)) if rng.random() < 0.7 else None
+    acc_time = int(np.median(stamps)) if acc is not None else None
+    answers = tuple(
+        Answer(answer_id=f"a{i}", creation_time=int(c),
+               text_length=int(rng.integers(1, 5000)), accepted=(i == acc),
+               acceptance_time=acc_time if i == acc else None)
+        for i, c in enumerate(creations))
+    events = []
+    for ts in stamps:
+        existing = [i for i, c in enumerate(creations) if c < ts]
+        if not existing:
+            continue
+        # the accepted answer draws half the votes once it exists
+        j = acc if acc in existing and rng.random() < 0.5 \
+            else int(rng.choice(existing))
+        events.append(VoteEvent(answer_index=j, time_index=len(events) + 1,
+                                sign=1 if rng.random() < 0.5 else -1,
+                                timestamp=int(ts)))
+    return QuestionTrajectory(question_id, answers, tuple(events))
+
+
+@st.composite
+def trajectories(draw):
+    n_answers = draw(st.integers(1, 6))
+    creations = sorted(draw(st.lists(st.integers(0, 8), min_size=n_answers,
+                                     max_size=n_answers)))
+    lengths = draw(st.lists(st.integers(1, 5000), min_size=n_answers,
+                            max_size=n_answers))
+    acc = draw(st.none() | st.integers(0, n_answers - 1))
+    acc_time = draw(st.integers(0, 40)) if acc is not None else None
+    answers = tuple(
+        Answer(answer_id=f"a{i}", creation_time=c, text_length=n,
+               accepted=(i == acc),
+               acceptance_time=acc_time if i == acc else None)
+        for i, (c, n) in enumerate(zip(creations, lengths)))
+    steps = draw(st.lists(st.tuples(st.integers(0, 2),
+                                    st.integers(0, n_answers - 1),
+                                    st.sampled_from((+1, -1))),
+                          max_size=50))
+    events = []
+    ts = 0
+    for gap, j, sign in steps:
+        ts += gap
+        if creations[j] < ts:
+            events.append(VoteEvent(answer_index=j,
+                                    time_index=len(events) + 1, sign=sign,
+                                    timestamp=ts))
+    return QuestionTrajectory("q", answers, tuple(events))
+
+
+def assert_bit_identical(got: QuestionTrajectory, want: QuestionTrajectory):
+    assert len(got.events) == len(want.events)
+    for ev, ref in zip(got.events, want.events):
+        a, b = ev.context, ref.context
+        assert (ev.answer_index, ev.time_index, ev.sign, ev.timestamp) == \
+               (ref.answer_index, ref.time_index, ref.sign, ref.timestamp)
+        assert (a.rank, a.prior_pos, a.prior_neg) == \
+               (b.rank, b.prior_pos, b.prior_neg)
+        assert a.pos_ratio.hex() == b.pos_ratio.hex()
+        assert a.rel_length.hex() == b.rel_length.hex()
+
+
+class TestReplayMatchesReference:
+    def test_reconstruct_bit_identical(self, rng):
+        voted_both_sides = 0
+        for _ in range(400):
+            traj = interleaved_trajectory(rng)
+            assert_bit_identical(reconstruct_contexts(traj),
+                                 reference_contexts(traj))
+            acc = traj.accepted_answer_index()
+            if acc is not None:
+                cut = traj.answers[acc].acceptance_time
+                stamps = [ev.timestamp for ev in traj.events
+                          if ev.answer_index == acc]
+                voted_both_sides += any(t <= cut for t in stamps) \
+                    and any(t > cut for t in stamps)
+        assert voted_both_sides > 50
+
+    def test_load_bit_identical(self, rng, tmp_path):
+        trajs = [interleaved_trajectory(rng, question_id=f"q{i}")
+                 for i in range(200)]
+        path = tmp_path / "t.jsonl"
+        write_trajectories(trajs, path)
+        for got, traj in zip(read_trajectories(path), trajs):
+            assert_bit_identical(got, reference_contexts(traj))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(trajectories())
+    def test_property_bit_identical(self, traj):
+        assert_bit_identical(reconstruct_contexts(traj),
+                             reference_contexts(traj))
+        back = trajectory_from_json(json.loads(trajectory_to_json_line(traj)))
+        assert_bit_identical(back, reference_contexts(traj))
+
+
 class TestDropFirstVotes:
     def test_drops_first_keeps_contexts(self):
         traj = reconstruct_contexts(
@@ -161,6 +268,73 @@ class TestValidation:
             reconstruct_contexts(traj)
 
 
+def _line(answers=None, events=None) -> dict:
+    """A valid two-answer question as a JSONL object."""
+    return {"question_id": "q",
+            "answers": answers if answers is not None else [
+                {"answer_id": "a0", "creation_time": 0, "text_length": 10,
+                 "accepted": False, "acceptance_time": None},
+                {"answer_id": "a1", "creation_time": 5, "text_length": 20,
+                 "accepted": True, "acceptance_time": 50}],
+            "events": events if events is not None else [
+                {"answer_index": 0, "timestamp": 10, "sign": 1},
+                {"answer_index": 1, "timestamp": 20, "sign": -1}]}
+
+
+def _answer(aid, created, length=10, accepted=False, at=None):
+    return {"answer_id": aid, "creation_time": created,
+            "text_length": length, "accepted": accepted,
+            "acceptance_time": at}
+
+
+def _event(j, ts, sign=1):
+    return {"answer_index": j, "timestamp": ts, "sign": sign}
+
+
+class TestValidatedOnLoad:
+    """Every structural invariant is checked while the JSONL is read."""
+
+    @pytest.mark.parametrize("obj, message", [
+        (_line(answers=[_answer("a0", 0, accepted=True, at=9),
+                        _answer("a1", 1, accepted=True, at=9)]),
+         "2 accepted answers"),
+        (_line(answers=[_answer("a0", 0, length=0), _answer("a1", 1)]),
+         "text_length < 1"),
+        (_line(answers=[_answer("a0", 0, at=9), _answer("a1", 1)]),
+         "acceptance_time must be present iff accepted"),
+        (_line(answers=[_answer("a0", 3), _answer("a1", 1)]),
+         "answers not ordered by creation_time"),
+        (_line(events=[_event(0, 10, sign=0)]), "event sign 0"),
+        (_line(events=[_event(0, 20), _event(1, 10)]),
+         "events not ordered by timestamp"),
+        (_line(events=[_event(2, 10)]), "answer_index 2 out of range"),
+        (_line(events=[_event(1, 5)]),
+         "event at t=5 references answer created at t=5"),
+    ], ids=["two_accepted", "text_length", "acceptance_time",
+            "creation_order", "sign", "timestamp_order", "answer_index",
+            "vote_before_creation"])
+    def test_read_rejects(self, tmp_path, obj, message):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(_line()) + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(MalformedTrajectoryError, match=message):
+            read_trajectories(path)
+
+    def test_valid_line_loads_with_contexts(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(_line()) + "\n")
+        (traj,) = read_trajectories(path)
+        assert [ev.context.rank for ev in traj.events] == [1, 2]
+
+    def test_time_index_gap_rejected(self):
+        traj = make_traj(1, [(0, +1), (0, +1)])
+        gap = QuestionTrajectory("q", traj.answers, (
+            traj.events[0],
+            VoteEvent(answer_index=0, time_index=3, sign=1, timestamp=110)))
+        with pytest.raises(MalformedTrajectoryError,
+                           match="time_index not contiguous"):
+            reconstruct_contexts(gap)
+
+
 class TestJsonl:
     def test_round_trip(self, rng, tmp_path):
         trajs = [random_trajectory(rng, question_id=f"q{i}")
@@ -185,6 +359,10 @@ class TestJsonl:
         traj = make_traj(2, [(0, +1), (1, -1), (0, +1)])
         back = trajectory_from_json(json.loads(trajectory_to_json_line(traj)))
         assert [e.time_index for e in back.events] == [1, 2, 3]
+
+
+def test_final_rel_lengths_no_answers():
+    assert final_rel_lengths(QuestionTrajectory("q", (), ())) == {}
 
 
 def test_final_rel_lengths_mean_zero(rng):
