@@ -154,13 +154,14 @@ def objective_and_grad(theta: np.ndarray, data: EncodedEvents,
     """Regularized NLL and its exact gradient at `theta`.
 
     An empty event set leaves only the regularizer. Accumulation order is
-    fixed (single bincount per block), so repeated evaluations are
-    bit-identical.
+    fixed (single bincount per block; np.sum, not BLAS, for the dot
+    products, since OpenBLAS splits long dot products across its
+    threads), so evaluations are bit-identical whatever the thread count.
     """
     idx = data.index
     w = l2_weight
     if len(data) == 0:
-        obj = 0.5 * w * (float(theta @ theta)
+        obj = 0.5 * w * (float(np.sum(theta * theta))
                          + (idx.freeze_beta or 0.0) ** 2)
         return obj, w * theta
 
@@ -174,7 +175,7 @@ def objective_and_grad(theta: np.ndarray, data: EncodedEvents,
     p_safe = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
     nll = -float(np.sum(data.v * np.log(p_safe)
                         + (1.0 - data.v) * np.log(1.0 - p_safe)))
-    reg = 0.5 * w * (float(theta @ theta)
+    reg = 0.5 * w * (float(np.sum(theta * theta))
                      + ((idx.freeze_beta or 0.0) ** 2
                         if idx.beta_pos is None else 0.0))
 
@@ -182,14 +183,14 @@ def objective_and_grad(theta: np.ndarray, data: EncodedEvents,
     grad = w * theta.copy()
     n_q = len(idx.q_keys)
     grad[:n_q] += np.bincount(data.q_slot, weights=r, minlength=n_q)
-    grad[idx.lam_pos] += float(r @ data.ratio)
+    grad[idx.lam_pos] += float(np.sum(r * data.ratio))
     if idx.nu_keys:
         mask = data.nu_slot >= 0
         grad[idx.nu_base:idx.nu_base + len(idx.nu_keys)] += np.bincount(
             data.nu_slot[mask], weights=(r * data.length)[mask],
             minlength=len(idx.nu_keys))
     if idx.beta_pos is not None:
-        grad[idx.beta_pos] += float(r @ data.inv_rank)
+        grad[idx.beta_pos] += float(np.sum(r * data.inv_rank))
     return nll + reg, grad
 
 
@@ -211,14 +212,14 @@ def curvature_bound_product(v: np.ndarray, data: EncodedEvents,
     out = l2_weight * v.copy()
     n_q = len(idx.q_keys)
     out[:n_q] += np.bincount(data.q_slot, weights=u, minlength=n_q)
-    out[idx.lam_pos] += float(u @ data.ratio)
+    out[idx.lam_pos] += float(np.sum(u * data.ratio))
     if idx.nu_keys:
         mask = data.nu_slot >= 0
         out[idx.nu_base:idx.nu_base + len(idx.nu_keys)] += np.bincount(
             data.nu_slot[mask], weights=(u * data.length)[mask],
             minlength=len(idx.nu_keys))
     if idx.beta_pos is not None:
-        out[idx.beta_pos] += float(u @ data.inv_rank)
+        out[idx.beta_pos] += float(np.sum(u * data.inv_rank))
     return out
 
 

@@ -10,6 +10,7 @@ the curves stay comparable across ticks.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -71,7 +72,7 @@ def _polish(fun, data: EncodedEvents, x: np.ndarray, config: FitConfig,
     spectral = 0.0
     for _ in range(60):
         hv = curvature_bound_product(v, data, config.l2_weight)
-        spectral = float(np.linalg.norm(hv))
+        spectral = math.sqrt(float(np.sum(hv * hv)))
         if spectral == 0.0:
             break
         v = hv / spectral

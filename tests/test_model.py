@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cva
 from cva.model import (CommunityModel, EncodedEvents, ParameterIndex,
                        event_prob, model_from_json, model_to_json,
                        nll_and_grad, objective_and_grad, load_model,
@@ -157,6 +162,31 @@ class TestObjective:
         assert index.size == 3
         model = index.unpack(np.array([0.5, 0.1, -0.2]), 1.0)
         assert model.beta == 0.0
+
+    def test_bit_identical_across_blas_thread_counts(self):
+        # OpenBLAS splits dot products longer than 10,000 across threads,
+        # which changes their rounding; the objective must not use them
+        script = (
+            "import hashlib, numpy as np\n"
+            "from cva.model import curvature_bound_product, "
+            "objective_and_grad\n"
+            "from test_model import random_instance\n"
+            "rng = np.random.default_rng(3)\n"
+            "index, data, theta = random_instance(rng, n_questions=300, "
+            "n_answers=900, n_events=12_000)\n"
+            "obj, grad = objective_and_grad(theta, data, 1.0)\n"
+            "hv = curvature_bound_product(theta, data, 1.0)\n"
+            "print(obj.hex(), hashlib.sha256(grad.tobytes() + "
+            "hv.tobytes()).hexdigest())\n")
+        paths = [str(Path(cva.__file__).parents[1]), str(Path(__file__).parent)]
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                     PYTHONPATH=os.pathsep.join(paths)))
+            for threads in ("1", "2")]
+        outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert outputs[0] == outputs[1]
 
 
 class TestSerialization:
