@@ -268,19 +268,6 @@ class TestValidation:
             reconstruct_contexts(traj)
 
 
-def _line(answers=None, events=None) -> dict:
-    """A valid two-answer question as a JSONL object."""
-    return {"question_id": "q",
-            "answers": answers if answers is not None else [
-                {"answer_id": "a0", "creation_time": 0, "text_length": 10,
-                 "accepted": False, "acceptance_time": None},
-                {"answer_id": "a1", "creation_time": 5, "text_length": 20,
-                 "accepted": True, "acceptance_time": 50}],
-            "events": events if events is not None else [
-                {"answer_index": 0, "timestamp": 10, "sign": 1},
-                {"answer_index": 1, "timestamp": 20, "sign": -1}]}
-
-
 def _answer(aid, created, length=10, accepted=False, at=None):
     return {"answer_id": aid, "creation_time": created,
             "text_length": length, "accepted": accepted,
@@ -289,6 +276,14 @@ def _answer(aid, created, length=10, accepted=False, at=None):
 
 def _event(j, ts, sign=1):
     return {"answer_index": j, "timestamp": ts, "sign": sign}
+
+
+def _line(answers=None, events=None) -> dict:
+    """A valid two-answer question as a JSONL object."""
+    return {"question_id": "q",
+            "answers": answers or [_answer("a0", 0),
+                                   _answer("a1", 5, 20, True, 50)],
+            "events": events or [_event(0, 10), _event(1, 20, -1)]}
 
 
 class TestValidatedOnLoad:
