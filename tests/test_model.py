@@ -178,7 +178,8 @@ class TestObjective:
             "hv = curvature_bound_product(theta, data, 1.0)\n"
             "print(obj.hex(), hashlib.sha256(grad.tobytes() + "
             "hv.tobytes()).hexdigest())\n")
-        paths = [str(Path(cva.__file__).parents[1]), str(Path(__file__).parent)]
+        paths = [str(Path(cva.__file__).parents[1]),
+                 str(Path(__file__).parent)]
         procs = [subprocess.Popen(
             [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
