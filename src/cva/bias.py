@@ -16,9 +16,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .model import CommunityModel, event_prob
+from .model import CommunityModel, vote_probs
 from .trajectory import QuestionTrajectory, drop_first_votes, \
-    reconstruct_contexts
+    with_contexts
 
 
 @dataclass
@@ -32,9 +32,7 @@ class BiasProfile:
 
 def _scored_events(trajectories: Iterable[QuestionTrajectory],
                    drop_first: bool):
-    for traj in trajectories:
-        if any(ev.context is None for ev in traj.events):
-            traj = reconstruct_contexts(traj)
+    for traj in map(with_contexts, trajectories):
         if drop_first:
             traj = drop_first_votes(traj)
         for ev in traj.events:
@@ -46,16 +44,16 @@ def _herding(model: CommunityModel,
              trajectories: Iterable[QuestionTrajectory],
              drop_first: bool) -> tuple[float, int]:
     """(herding degree, number of scored votes) from one walk."""
-    log_sum = 0.0
-    n = 0
-    for qid, aid, ctx in _scored_events(trajectories, drop_first):
-        p = event_prob(model, qid, aid, ctx)
-        h = 1.0 if ctx.prior_pos >= ctx.prior_neg else -1.0
-        log_sum += h * math.log(p / (1.0 - p))
-        n += 1
-    if n == 0:
+    rows = [(model.quality(qid, aid), model.nu_for(qid), ctx.pos_ratio,
+             ctx.rel_length, ctx.rank,
+             1.0 if ctx.prior_pos >= ctx.prior_neg else -1.0)
+            for qid, aid, ctx in _scored_events(trajectories, drop_first)]
+    if not rows:
         raise ValueError("no events to score")
-    return math.exp(log_sum / n), n
+    q, nu, ratio, length, rank, h = np.array(rows, dtype=float).T
+    p = vote_probs(q, model.lam, ratio, nu, length, model.beta, rank)
+    log_sum = float(np.sum(h * np.log(p / (1.0 - p))))
+    return math.exp(log_sum / len(rows)), len(rows)
 
 
 def herding_degree(model: CommunityModel,

@@ -3,9 +3,9 @@
 Wires ingestion, fitting, simulation, quality estimation, bias profiling,
 counterfactual queries and evaluation into reproducible runs. All outputs
 are plain JSON/JSONL/CSV, every seeded command is bit-reproducible, and
-exit codes follow the sysexits convention (64 usage, 66 unreadable input)
-plus 2 for a community rejected as too small and 3 for a fit that did not
-converge.
+exit codes follow the sysexits convention (64 usage, 65 malformed
+trajectory file, 66 unreadable input) plus 2 for a community rejected as
+too small and 3 for a fit that did not converge.
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ from .model import load_model, save_model
 from .simulate import generate, parse_sim_config, scale_truth
 from .trainer import FitConfig, TOY_TICKS, fit, parse_fit_config, \
     toy_quality_curves
-from .trajectory import read_trajectories, write_trajectories
+from .trajectory import MalformedTrajectoryError, read_trajectories, \
+    write_trajectories
 
 EX_OK = 0
 EX_COMMUNITY_TOO_SMALL = 2
 EX_NON_CONVERGENCE = 3
 EX_USAGE = 64
+EX_DATAERR = 65
 EX_NOINPUT = 66
 
 log = logging.getLogger(__name__)
@@ -107,7 +109,7 @@ def _cmd_fit(args) -> int:
 def _cmd_quality(args) -> int:
     model = load_model(args.model)
     trajs = read_trajectories(args.input)
-    population = build_population(trajs, seed=args.seed)
+    population = build_population(trajs)
     aggregate = "per_time_sum" if args.mode == "per-time-sum" else "mean"
     q_hat = estimate_quality(model, trajs, population, aggregate=aggregate,
                              integrate_length=args.integrate_length == "true")
@@ -257,7 +259,6 @@ def build_parser() -> _Parser:
                    default="mean")
     p.add_argument("--integrate-length", choices=["false", "true"],
                    default="false")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_quality)
 
@@ -301,7 +302,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--ablation", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=7,
+                   help="seed of the paired bootstrap")
     p.add_argument("--rank-by-q", action="store_true",
                    help="rank by raw fitted quality instead of the "
                         "debiased estimate")
@@ -321,6 +323,9 @@ def main(argv=None) -> int:
         print(f"cva: cannot access {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return EX_NOINPUT
+    except MalformedTrajectoryError as exc:
+        print(f"cva: {exc}", file=sys.stderr)
+        return EX_DATAERR
 
 
 if __name__ == "__main__":

@@ -11,34 +11,32 @@ parameter power law summarizes how fast the probability decays with rank.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
-from .model import CommunityModel, PROB_CLIP
+from .model import CommunityModel, vote_probs
 from .trajectory import QuestionTrajectory, final_rel_lengths, \
-    reconstruct_contexts
+    with_contexts
 
 log = logging.getLogger(__name__)
 
 SUBSAMPLE_THRESHOLD = 100_000
 SUBSAMPLE_SIZE = 10_000
+SUBSAMPLE_SEED = 0
 TIME_SLICE_MIN = 30  # per-time populations thinner than this fall back
 
 
 @dataclass
 class ContextPopulation:
-    """Empirical (ratio, rank, rel_length) population of vote contexts."""
+    """Empirical (ratio, rank, rel_length) population of vote contexts;
+    its global sample and per-time slices are built once, in order."""
 
     ratios: np.ndarray
     ranks: np.ndarray
     lengths: np.ndarray
     times: np.ndarray            # time_index per sample
-    mode: str = "global"         # "global" or "per_time"
-    seed: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if len(self.ratios) == 0:
@@ -47,42 +45,38 @@ class ContextPopulation:
             raise ValueError("ratios must lie in [0, 1]")
         if np.any(self.ranks < 1):
             raise ValueError("ranks must be >= 1")
+        pick = slice(None)
+        if len(self) > SUBSAMPLE_THRESHOLD:
+            rng = np.random.default_rng(SUBSAMPLE_SEED)
+            pick = np.sort(rng.choice(len(self), size=SUBSAMPLE_SIZE,
+                                      replace=False))
+        self._global = self.ratios[pick], self.ranks[pick], self.lengths[pick]
+        order = np.argsort(self.times, kind="stable")
+        ts, starts = np.unique(self.times[order], return_index=True)
+        self._slices = {
+            int(t): (self.ratios[idx], self.ranks[idx], self.lengths[idx])
+            for t, idx in zip(ts, np.split(order, starts[1:]))
+            if len(idx) >= TIME_SLICE_MIN}
 
     def __len__(self) -> int:
         return len(self.ratios)
 
     def global_samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ratios, ranks, lengths), subsampled with the fixed seed when the
+        """(ratios, ranks, lengths), subsampled with a fixed seed when the
         population is large."""
-        if "global" not in self._cache:
-            if len(self) > SUBSAMPLE_THRESHOLD:
-                rng = np.random.default_rng(self.seed)
-                pick = rng.choice(len(self), size=SUBSAMPLE_SIZE,
-                                  replace=False)
-                pick.sort()
-            else:
-                pick = slice(None)
-            self._cache["global"] = (self.ratios[pick], self.ranks[pick],
-                                     self.lengths[pick])
-        return self._cache["global"]
+        return self._global
 
     def time_slice(self, t: int) -> tuple[np.ndarray, np.ndarray,
                                           np.ndarray]:
         """Samples at relative time t; global fallback when too thin."""
-        mask = self.times == t
-        if int(mask.sum()) < TIME_SLICE_MIN:
-            return self.global_samples()
-        return self.ratios[mask], self.ranks[mask], self.lengths[mask]
+        return self._slices.get(t, self._global)
 
 
-def build_population(trajectories: Iterable[QuestionTrajectory],
-                     mode: str = "global", seed: int = 0
+def build_population(trajectories: Iterable[QuestionTrajectory]
                      ) -> ContextPopulation:
     """Collect every vote context in the community into a population."""
     ratios, ranks, lengths, times = [], [], [], []
-    for traj in trajectories:
-        if any(ev.context is None for ev in traj.events):
-            traj = reconstruct_contexts(traj)
+    for traj in map(with_contexts, trajectories):
         for ev in traj.events:
             ratios.append(ev.context.pos_ratio)
             ranks.append(ev.context.rank)
@@ -91,15 +85,13 @@ def build_population(trajectories: Iterable[QuestionTrajectory],
     return ContextPopulation(ratios=np.asarray(ratios, dtype=float),
                              ranks=np.asarray(ranks, dtype=float),
                              lengths=np.asarray(lengths, dtype=float),
-                             times=np.asarray(times, dtype=int),
-                             mode=mode, seed=seed)
+                             times=np.asarray(times, dtype=int))
 
 
 def _mean_prob(q: float, nu: float, rel_length, model: CommunityModel,
                ratios: np.ndarray, ranks: np.ndarray) -> float:
-    x = q + model.lam * ratios + nu * rel_length \
-        + model.beta / (1.0 + ranks)
-    return float(np.mean(np.clip(expit(x), PROB_CLIP, 1.0 - PROB_CLIP)))
+    return float(np.mean(vote_probs(q, model.lam, ratios, nu, rel_length,
+                                    model.beta, ranks)))
 
 
 def estimate_quality(model: CommunityModel,
@@ -179,9 +171,7 @@ def counterfactual_curve(model: CommunityModel,
     rank_grid = np.arange(1, ranks + 1, dtype=float)
     total = np.zeros(ranks)
     n_answers = 0
-    for traj in trajectories:
-        if any(ev.context is None for ev in traj.events):
-            traj = reconstruct_contexts(traj)
+    for traj in map(with_contexts, trajectories):
         rel_len = final_rel_lengths(traj)
         nu = model.nu_for(traj.question_id)
         ratios_by_answer: dict[str, list[float]] = {}
@@ -201,9 +191,8 @@ def counterfactual_curve(model: CommunityModel,
             else:
                 continue
             q = model.quality(traj.question_id, aid)
-            x = q + model.lam * ratio + nu * rel_len[aid] \
-                + model.beta / (1.0 + rank_grid)
-            total += np.clip(expit(x), PROB_CLIP, 1.0 - PROB_CLIP)
+            total += vote_probs(q, model.lam, ratio, nu, rel_len[aid],
+                                model.beta, rank_grid)
             n_answers += 1
     if n_answers == 0:
         log.warning("no qualifying answers for mood %r", mood)

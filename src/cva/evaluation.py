@@ -13,13 +13,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.stats import kendalltau as _scipy_kendalltau
 
-from .counterfactual import ContextPopulation, build_population, \
-    estimate_quality
+from .counterfactual import build_population, estimate_quality
 from .model import CommunityModel
 from .trajectory import QuestionTrajectory, final_vote_diffs
 
@@ -220,9 +219,7 @@ def evaluate_rankers(trajectories: Sequence[QuestionTrajectory],
                      ablation_model: CommunityModel,
                      truth_scores: Mapping[str, float],
                      seed: int,
-                     cva_score: str = "q_hat",
-                     population: Optional[ContextPopulation] = None
-                     ) -> EvaluationReport:
+                     cva_score: str = "q_hat") -> EvaluationReport:
     """Full pipeline: score, rank and compare the three rankers.
 
     cva_score "q_hat" ranks by the debiased estimate (default); "q" ranks
@@ -230,8 +227,7 @@ def evaluate_rankers(trajectories: Sequence[QuestionTrajectory],
     """
     if cva_score not in ("q_hat", "q"):
         raise ValueError(f"unknown cva_score {cva_score!r}")
-    if population is None:
-        population = build_population(trajectories, seed=seed)
+    population = build_population(trajectories)
 
     diff_scores: dict[tuple[str, str], float] = {}
     for traj in trajectories:

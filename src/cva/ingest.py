@@ -82,13 +82,23 @@ def _parse_date(text: str) -> int:
     return int(dt.timestamp())
 
 
+# Attributes converted as a row is read, per dump file.
+_CONVERTERS = {
+    "posts": {"Id": int, "ParentId": int, "AcceptedAnswerId": int,
+              "CreationDate": _parse_date},
+    "votes": {"Id": int, "PostId": int, "VoteTypeId": int,
+              "CreationDate": _parse_date},
+    "posthistory": {"PostHistoryTypeId": int, "PostId": int},
+}
+
+
 def _iter_rows(path, rejects: RejectLog, kind: str
-               ) -> Iterator[tuple[int, dict[str, str]]]:
+               ) -> Iterator[tuple[int, dict]]:
     """Yield (line number, attributes) for each <row/> line of a dump file.
 
-    Anything that is not a parseable row element goes to the reject log;
-    wrapper lines (declaration, opening/closing list tags) are skipped
-    silently.
+    Anything that is not a parseable row element, or whose int or date
+    attribute does not convert, goes to the reject log; wrapper lines
+    (declaration, opening/closing list tags) are skipped silently.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -104,7 +114,15 @@ def _iter_rows(path, rejects: RejectLog, kind: str
                 rejects.add(lineno, f"{kind}: unexpected element "
                                     f"<{elem.tag}>")
                 continue
-            yield lineno, elem.attrib
+            attrs = elem.attrib
+            try:
+                for name, convert in _CONVERTERS[kind].items():
+                    if name in attrs:
+                        attrs[name] = convert(attrs[name])
+            except ValueError as exc:
+                rejects.add(lineno, f"{kind}: bad value ({exc})")
+                continue
+            yield lineno, attrs
 
 
 def _require(attrs: dict[str, str], names: Iterable[str]) -> list[str]:
@@ -148,10 +166,9 @@ def parse_dump(posts_path, votes_path, posthistory_path,
             continue
         post_type = attrs["PostTypeId"]
         if post_type == "1":
-            accepted = attrs.get("AcceptedAnswerId")
-            questions[int(attrs["Id"])] = _QuestionRecord(
-                question_id=int(attrs["Id"]),
-                accepted_answer_id=int(accepted) if accepted else None,
+            questions[attrs["Id"]] = _QuestionRecord(
+                question_id=attrs["Id"],
+                accepted_answer_id=attrs.get("AcceptedAnswerId"),
                 closed="ClosedDate" in attrs)
         elif post_type == "2":
             missing = _require(attrs, ("ParentId", "Body"))
@@ -161,10 +178,10 @@ def parse_dump(posts_path, votes_path, posthistory_path,
             if len(attrs["Body"]) < 1:
                 rejects.add(lineno, "posts: empty Body")
                 continue
-            answers[int(attrs["Id"])] = _AnswerRecord(
-                answer_id=int(attrs["Id"]),
-                parent_id=int(attrs["ParentId"]),
-                creation_time=_parse_date(attrs["CreationDate"]),
+            answers[attrs["Id"]] = _AnswerRecord(
+                answer_id=attrs["Id"],
+                parent_id=attrs["ParentId"],
+                creation_time=attrs["CreationDate"],
                 text_length=len(attrs["Body"]))
         # other post types (wiki, tag excerpts, ...) are not ingested
 
@@ -174,13 +191,11 @@ def parse_dump(posts_path, votes_path, posthistory_path,
         if missing:
             rejects.add(lineno, f"votes: missing {','.join(missing)}")
             continue
-        vote_type = int(attrs["VoteTypeId"])
-        if vote_type not in (VOTE_ACCEPTED, VOTE_UP, VOTE_DOWN):
+        if attrs["VoteTypeId"] not in (VOTE_ACCEPTED, VOTE_UP, VOTE_DOWN):
             continue
-        row = RawVoteRow(vote_id=int(attrs["Id"]),
-                         post_id=int(attrs["PostId"]),
-                         vote_type=vote_type,
-                         creation_date=_parse_date(attrs["CreationDate"]))
+        row = RawVoteRow(vote_id=attrs["Id"], post_id=attrs["PostId"],
+                         vote_type=attrs["VoteTypeId"],
+                         creation_date=attrs["CreationDate"])
         record = answers.get(row.post_id)
         if record is None:
             continue  # vote on a question or an unknown post
@@ -197,9 +212,8 @@ def parse_dump(posts_path, votes_path, posthistory_path,
             rejects.add(lineno, f"posthistory: missing "
                                 f"{','.join(missing)}")
             continue
-        if int(attrs["PostHistoryTypeId"]) in (HISTORY_CLOSED,
-                                               HISTORY_LOCKED):
-            closed_by_history.add(int(attrs["PostId"]))
+        if attrs["PostHistoryTypeId"] in (HISTORY_CLOSED, HISTORY_LOCKED):
+            closed_by_history.add(attrs["PostId"])
 
     by_question: dict[int, list[_AnswerRecord]] = {}
     for record in answers.values():

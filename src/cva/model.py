@@ -50,16 +50,21 @@ class CommunityModel:
         return self.nu.get(question_id, 0.0)
 
 
+def vote_probs(q, lam, ratio, nu, rel_length, beta, rank) -> np.ndarray:
+    """Clipped sigmoid(q + lam * R + nu * L + beta / (1 + D)), elementwise
+    over arrays or scalars."""
+    return np.clip(expit(q + lam * ratio + nu * rel_length
+                         + beta / (1.0 + rank)), PROB_CLIP, 1.0 - PROB_CLIP)
+
+
 def vote_prob(model: CommunityModel, q: float, ctx, nu: float = 0.0) -> float:
     """Positive-vote probability for quality `q` in context `ctx`.
 
     `nu` is the length coefficient of the answer's question; callers that
     have no length term pass the default 0.
     """
-    x = q + model.lam * ctx.pos_ratio + nu * ctx.rel_length \
-        + model.beta / (1.0 + ctx.rank)
-    p = float(expit(x))
-    return min(max(p, PROB_CLIP), 1.0 - PROB_CLIP)
+    return float(vote_probs(q, model.lam, ctx.pos_ratio, nu, ctx.rel_length,
+                            model.beta, ctx.rank))
 
 
 def event_prob(model: CommunityModel, question_id: str, answer_id: str,

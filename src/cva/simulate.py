@@ -8,8 +8,8 @@ forward voting model under chosen generating coefficients. All draws
 come from a single seeded generator, so identical configs reproduce
 byte-identical data.
 
-Also houses the hand-pinned toy scenarios used to demonstrate position
-and herding debiasing on six-vote examples.
+Also houses the toy scenarios used to demonstrate position and herding
+debiasing on six-vote examples.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from scipy.special import expit
 from .configio import parse_key_values
 from .trajectory import (Answer, QuestionTrajectory, VoteContext, VoteEvent,
                          NEUTRAL_POS_RATIO, REL_LENGTH_CLIP,
-                         read_trajectories)
+                         read_trajectories, reconstruct_contexts)
 
 log = logging.getLogger(__name__)
 
@@ -292,61 +292,40 @@ def estimate_crp_alpha(trajectories: Sequence[QuestionTrajectory]) -> float:
     return 0.5 * (lo + hi)
 
 
-# --- pinned toy scenarios ----------------------------------------------
+# --- toy scenarios ------------------------------------------------------
 
 
-def _pinned_events(votes: Sequence[tuple[int, int]], ranks: Sequence[int]
-                   ) -> tuple[VoteEvent, ...]:
-    """Build events with explicit contexts: votes is [(answer_index, sign)],
-    ranks pins the displayed rank per answer index. Lengths play no role
-    in the toys, so rel_length is 0 throughout."""
-    pos: dict[int, int] = {}
-    neg: dict[int, int] = {}
-    events = []
-    for t, (j, sign) in enumerate(votes, start=1):
-        n_prior = pos.get(j, 0) + neg.get(j, 0)
-        ratio = pos.get(j, 0) / n_prior if n_prior else NEUTRAL_POS_RATIO
-        ctx = VoteContext(rank=ranks[j], pos_ratio=ratio, rel_length=0.0,
-                          prior_pos=pos.get(j, 0), prior_neg=neg.get(j, 0))
-        events.append(VoteEvent(answer_index=j, time_index=t, sign=sign,
-                                timestamp=10 * t, context=ctx))
-        if sign > 0:
-            pos[j] = pos.get(j, 0) + 1
-        else:
-            neg[j] = neg.get(j, 0) + 1
-    return tuple(events)
+def _toy_question(question_id: str, answer_ids: Sequence[str],
+                  votes: Sequence[tuple[int, int]]) -> QuestionTrajectory:
+    """Answers created at t = 1, 2, ... with equal lengths (toys carry no
+    length signal) and votes [(answer_index, sign)] cast at t = 10, 20,
+    ...; the replay gives each vote its context."""
+    answers = tuple(Answer(aid, creation_time=k, text_length=100)
+                    for k, aid in enumerate(answer_ids, start=1))
+    events = tuple(VoteEvent(j, t, sign, 10 * t)
+                   for t, (j, sign) in enumerate(votes, start=1))
+    return reconstruct_contexts(QuestionTrajectory(question_id, answers,
+                                                   events))
 
 
 def toy_scenario(name: str) -> list[QuestionTrajectory]:
-    """Six-vote demonstration scenarios with hand-pinned ranks.
+    """Six-vote demonstration scenarios.
 
     's1a': two answers, A above B, three positive votes each (A first).
     's1b': the negative mirror of s1a.
-    's2':  A and B as separate single-answer questions pinned at rank 1;
+    's2':  A and B as separate single-answer questions, so at rank 1;
            A gets +,+,+,-,-,-  and B alternates +,-,+,-,+,-.
     """
-    two = (Answer("A", creation_time=1, text_length=100),
-           Answer("B", creation_time=2, text_length=100))
     if name == "s1a":
         votes = [(0, +1)] * 3 + [(1, +1)] * 3
-        return [QuestionTrajectory("toy1a", two,
-                                   _pinned_events(votes, ranks=(1, 2)))]
+        return [_toy_question("toy1a", ("A", "B"), votes)]
     if name == "s1b":
         votes = [(1, -1)] * 3 + [(0, -1)] * 3
-        return [QuestionTrajectory("toy1b", two,
-                                   _pinned_events(votes, ranks=(1, 2)))]
+        return [_toy_question("toy1b", ("A", "B"), votes)]
     if name == "s2":
-        a_events = _pinned_events(
-            [(0, s) for s in (+1, +1, +1, -1, -1, -1)], ranks=(1,))
-        b_events = _pinned_events(
-            [(0, s) for s in (+1, -1, +1, -1, +1, -1)], ranks=(1,))
-        return [
-            QuestionTrajectory(
-                "toy2a", (Answer("A", creation_time=1, text_length=100),),
-                a_events),
-            QuestionTrajectory(
-                "toy2b", (Answer("B", creation_time=1, text_length=100),),
-                b_events),
-        ]
+        a_votes = [(0, s) for s in (+1, +1, +1, -1, -1, -1)]
+        b_votes = [(0, s) for s in (+1, -1, +1, -1, +1, -1)]
+        return [_toy_question("toy2a", ("A",), a_votes),
+                _toy_question("toy2b", ("B",), b_votes)]
     raise ValueError(f"unknown toy scenario {name!r} "
                      "(expected s1a, s1b or s2)")

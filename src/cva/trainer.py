@@ -22,7 +22,7 @@ from .model import (CommunityModel, EncodedEvents, Event, ParameterIndex,
                     curvature_bound_product, objective_and_grad)
 from .simulate import toy_scenario
 from .trajectory import QuestionTrajectory, drop_first_votes, \
-    reconstruct_contexts
+    with_contexts
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +33,6 @@ class FitConfig:
     tol: float = 1e-6            # max-norm gradient target
     max_iters: int = 10_000
     drop_first_votes: bool = True
-    seed: int = 0                # reserved; the default fit is deterministic
     use_length: bool = True      # include per-question length coefficients
     freeze_beta: Optional[float] = None
 
@@ -43,7 +42,6 @@ _FIT_CONFIG_TYPES = {
     "tol": float,
     "max_iters": int,
     "drop_first_votes": bool,
-    "seed": int,
     "use_length": bool,
     "freeze_beta": float,
 }
@@ -53,6 +51,8 @@ def parse_fit_config(path) -> FitConfig:
     raw = parse_key_values(path)
     kwargs = {}
     for key, value in raw.items():
+        if key == "seed":
+            continue  # accepted for old config files; the fit is seedless
         if key not in _FIT_CONFIG_TYPES:
             raise ValueError(f"unknown fit config key: {key}")
         caster = _FIT_CONFIG_TYPES[key]
@@ -87,21 +87,11 @@ def _polish(fun, data: EncodedEvents, x: np.ndarray, config: FitConfig,
     return x, total_iters
 
 
-def _with_contexts(trajs: Iterable[QuestionTrajectory]
-                   ) -> list[QuestionTrajectory]:
-    out = []
-    for traj in trajs:
-        if any(ev.context is None for ev in traj.events):
-            traj = reconstruct_contexts(traj)
-        out.append(traj)
-    return out
-
-
 def training_events(trajs: Iterable[QuestionTrajectory],
                     drop_first: bool = True) -> list[Event]:
     """Flatten trajectories into ((qid, aid), v, ctx) training triples."""
     events: list[Event] = []
-    for traj in _with_contexts(trajs):
+    for traj in map(with_contexts, trajs):
         if drop_first:
             traj = drop_first_votes(traj)
         for ev in traj.events:
@@ -190,7 +180,7 @@ def fit_prefixes(trajectories: Iterable[QuestionTrajectory],
     """
     if list(prefix_ticks) != sorted(prefix_ticks):
         raise ValueError("prefix_ticks must be ascending")
-    trajs = _with_contexts(trajectories)
+    trajs = [with_contexts(t) for t in trajectories]
     out = []
     for tick in prefix_ticks:
         truncated = [

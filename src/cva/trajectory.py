@@ -178,6 +178,13 @@ def reconstruct_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
     return replace(traj, events=events)
 
 
+def with_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
+    """`traj`, replayed by `reconstruct_contexts` if an event lacks one."""
+    if any(ev.context is None for ev in traj.events):
+        return reconstruct_contexts(traj)
+    return traj
+
+
 def drop_first_votes(traj: QuestionTrajectory) -> QuestionTrajectory:
     """Drop each answer's chronologically first vote.
 
@@ -224,7 +231,9 @@ def final_rel_lengths(traj: QuestionTrajectory) -> dict[str, float]:
 #    "text_length", "accepted", "acceptance_time"}, ...],
 #    "events": [{"answer_index", "timestamp", "sign"}, ...]}
 # Contexts and time indices are derived state and never serialized;
-# reading a line validates the question and replays its contexts.
+# reading a line validates the question and replays its contexts. A line
+# that is not JSON, lacks a key or breaks an invariant raises
+# MalformedTrajectoryError prefixed with `path:line:`.
 
 
 def trajectory_to_json_line(traj: QuestionTrajectory) -> str:
@@ -280,10 +289,22 @@ def write_trajectories(trajs: Iterable[QuestionTrajectory], path) -> None:
 
 def iter_trajectories(path) -> Iterator[QuestionTrajectory]:
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                yield trajectory_from_json(json.loads(line))
+            if not line:
+                continue
+            try:
+                traj = trajectory_from_json(json.loads(line))
+            except json.JSONDecodeError as exc:
+                reason = f"invalid JSON: {exc.msg} at column {exc.colno}"
+            except KeyError as exc:
+                reason = f"missing key {exc}"
+            except (ValueError, TypeError) as exc:
+                reason = str(exc)
+            else:
+                yield traj
+                continue
+            raise MalformedTrajectoryError(f"{path}:{lineno}: {reason}")
 
 
 def read_trajectories(path) -> list[QuestionTrajectory]:

@@ -247,3 +247,42 @@ class TestExitCodes:
     def test_unreadable_file_exit_66(self, tmp_path):
         assert run("fit", "--input", str(tmp_path / "missing.jsonl"),
                    "--out", str(tmp_path / "m.json")) == 66
+
+
+GOOD_LINE = {"question_id": "q",
+             "answers": [{"answer_id": "a", "creation_time": 1,
+                          "text_length": 10, "accepted": False,
+                          "acceptance_time": None}],
+             "events": [{"answer_index": 0, "timestamp": 5, "sign": 1}]}
+
+
+class TestMalformedTrajectoryFile:
+    """A bad line ends the command with exit 65 and one `path:line:`
+    message, never a traceback."""
+
+    def _fit(self, tmp_path, capsys, bad_line):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(GOOD_LINE) + "\n" + bad_line + "\n")
+        code = run("fit", "--input", str(path),
+                   "--out", str(tmp_path / "m.json"))
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err.startswith(f"cva: {path}:2: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+        return err
+
+    def test_truncated_line(self, tmp_path, capsys):
+        err = self._fit(tmp_path, capsys, json.dumps(GOOD_LINE)[:40])
+        assert "invalid JSON" in err
+
+    def test_missing_key(self, tmp_path, capsys):
+        obj = {k: v for k, v in GOOD_LINE.items() if k != "events"}
+        err = self._fit(tmp_path, capsys, json.dumps(obj))
+        assert "missing key 'events'" in err
+
+    def test_broken_invariant(self, tmp_path, capsys):
+        obj = dict(GOOD_LINE, events=[{"answer_index": 0, "timestamp": 1,
+                                       "sign": 1}])
+        err = self._fit(tmp_path, capsys, json.dumps(obj))
+        assert "q: event at t=1 references answer created at t=1" in err

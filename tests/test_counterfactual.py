@@ -12,7 +12,7 @@ from cva.trajectory import (Answer, QuestionTrajectory, VoteEvent,
                             reconstruct_contexts)
 
 
-def population(ratios, ranks, lengths=None, times=None, seed=0):
+def population(ratios, ranks, lengths=None, times=None):
     n = len(ratios)
     return ContextPopulation(
         ratios=np.asarray(ratios, dtype=float),
@@ -20,8 +20,7 @@ def population(ratios, ranks, lengths=None, times=None, seed=0):
         lengths=np.asarray(lengths if lengths is not None else [0.0] * n,
                            dtype=float),
         times=np.asarray(times if times is not None else [1] * n,
-                         dtype=int),
-        seed=seed)
+                         dtype=int))
 
 
 def single_answer_traj(question_id="q", n_votes=0, length=100):
@@ -149,9 +148,9 @@ class TestEstimateQuality:
                                lam=1.0)
         traj = single_answer_traj()
         rng = np.random.default_rng(0)
-        big = population(rng.random(150_000), np.ones(150_000), seed=11)
+        big = population(rng.random(150_000), np.ones(150_000))
         a = estimate_quality(model, [traj], big)[("q", "q-a")]
-        big2 = population(big.ratios, big.ranks, seed=11)
+        big2 = population(big.ratios, big.ranks)
         b = estimate_quality(model, [traj], big2)[("q", "q-a")]
         assert a == b
 

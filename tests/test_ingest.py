@@ -77,6 +77,38 @@ class TestParseDump:
             lineno, reason = line.split("\t", 1)
             assert lineno.isdigit() and reason
 
+    @pytest.mark.parametrize("kind, row", [
+        ("posts", '<row Id="x1" PostTypeId="2" ParentId="1" '
+                  'CreationDate="2020-01-01T10:00:00.000" Body="b" />'),
+        ("posts", '<row Id="16" PostTypeId="2" ParentId="1" '
+                  'CreationDate="yesterday" Body="b" />'),
+        ("votes", '<row Id="160" PostId="1o" VoteTypeId="2" '
+                  'CreationDate="2020-01-02T00:00:00.000" />'),
+        ("posthistory", '<row Id="9006" PostHistoryTypeId="1O" PostId="1" '
+                        'CreationDate="2020-01-09T00:00:00.000" />'),
+    ], ids=["posts_id", "posts_date", "votes_post_id", "history_type"])
+    def test_unconvertible_attribute_rejected(self, golden_parsed, tmp_path,
+                                              kind, row):
+        # the row goes to the reject log with its line number and the
+        # rest of the dump parses as before
+        names = {"posts": "Posts.xml", "votes": "Votes.xml",
+                 "posthistory": "PostHistory.xml"}
+        paths = {}
+        for k, name in names.items():
+            lines = (GOLDEN_DIR / name).read_text().splitlines(True)
+            if k == kind:
+                lines.insert(2, row + "\n")
+            paths[k] = tmp_path / name
+            paths[k].write_text("".join(lines))
+        rejects = RejectLog()
+        parsed = parse_dump(paths["posts"], paths["votes"],
+                            paths["posthistory"], rejects=rejects)
+        golden, golden_rejects = golden_parsed
+        assert parsed == golden
+        assert len(rejects) == len(golden_rejects) + 1
+        assert [r for n, r in rejects.entries
+                if n == 3 and r.startswith(f"{kind}: bad value")]
+
 
 class TestApplyFilters:
     def test_golden_counts_every_filter_fires(self, golden_parsed):

@@ -136,7 +136,7 @@ class TestFitConfigFile:
                         "seed = 3\n")
         cfg = parse_fit_config(path)
         assert cfg == FitConfig(l2_weight=0.5, tol=1e-7, max_iters=500,
-                                drop_first_votes=False, seed=3)
+                                drop_first_votes=False)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "fit.cfg"
