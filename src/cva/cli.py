@@ -3,9 +3,9 @@
 Wires ingestion, fitting, simulation, quality estimation, bias profiling,
 counterfactual queries and evaluation into reproducible runs. All outputs
 are plain JSON/JSONL/CSV, every seeded command is bit-reproducible, and
-exit codes follow the sysexits convention (64 usage, 65 malformed
-trajectory file, 66 unreadable input) plus 2 for a community rejected as
-too small and 3 for a fit that did not converge.
+exit codes follow the sysexits convention (64 usage, 65 malformed input
+file, 66 unreadable input) plus 2 for a community rejected as too small
+or left without training events and 3 for a fit that did not converge.
 """
 
 from __future__ import annotations
@@ -19,14 +19,15 @@ from pathlib import Path
 
 from .bias import load_profile, map_coordinates, profile_community, \
     save_profile
+from .configio import InputError
 from .counterfactual import MOODS, build_population, counterfactual_curve, \
     estimate_quality, fit_power_law
 from .evaluation import evaluate_rankers
 from .ingest import RejectLog, apply_filters, load_labels, parse_dump
 from .model import load_model, save_model
 from .simulate import generate, parse_sim_config, scale_truth
-from .trainer import FitConfig, TOY_TICKS, fit, parse_fit_config, \
-    toy_quality_curves
+from .trainer import FitConfig, NoTrainingEventsError, TOY_TICKS, fit, \
+    parse_fit_config, toy_quality_curves
 from .trajectory import MalformedTrajectoryError, read_trajectories, \
     write_trajectories
 
@@ -94,7 +95,11 @@ def _cmd_fit(args) -> int:
         config = FitConfig(**{**config.__dict__,
                               "freeze_beta": args.freeze_beta})
     trajs = read_trajectories(args.input)
-    model = fit(trajs, config)
+    try:
+        model = fit(trajs, config)
+    except NoTrainingEventsError:
+        print(f"cva: {args.input}: no training events", file=sys.stderr)
+        return EX_COMMUNITY_TOO_SMALL
     save_model(model, args.out)
     meta = model.fit_meta
     print(f"iterations: {meta['iterations']}")
@@ -323,7 +328,7 @@ def main(argv=None) -> int:
         print(f"cva: cannot access {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return EX_NOINPUT
-    except MalformedTrajectoryError as exc:
+    except (InputError, MalformedTrajectoryError) as exc:
         print(f"cva: {exc}", file=sys.stderr)
         return EX_DATAERR
 

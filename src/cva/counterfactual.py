@@ -11,8 +11,9 @@ parameter power law summarizes how fast the probability decays with rank.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +32,8 @@ TIME_SLICE_MIN = 30  # per-time populations thinner than this fall back
 @dataclass
 class ContextPopulation:
     """Empirical (ratio, rank, rel_length) population of vote contexts;
-    its global sample and per-time slices are built once, in order."""
+    its global sample and per-time slices, and their distinct (ratio,
+    rank) pairs, are built once, in order."""
 
     ratios: np.ndarray
     ranks: np.ndarray
@@ -57,6 +59,15 @@ class ContextPopulation:
             int(t): (self.ratios[idx], self.ranks[idx], self.lengths[idx])
             for t, idx in zip(ts, np.split(order, starts[1:]))
             if len(idx) >= TIME_SLICE_MIN}
+        self._distinct_global = _distinct_rows(*self._global[:2])
+        # distinct (time, ratio, rank) rows: each time's pairs are one run
+        times, ratios, ranks, counts = _distinct_rows(self.times,
+                                                      self.ratios, self.ranks)
+        ts, starts = np.unique(times, return_index=True)
+        ends = np.append(starts[1:], len(times))
+        self._distinct_slices = {
+            int(t): (ratios[a:b], ranks[a:b], counts[a:b])
+            for t, a, b in zip(ts, starts, ends) if int(t) in self._slices}
 
     def __len__(self) -> int:
         return len(self.ratios)
@@ -70,6 +81,32 @@ class ContextPopulation:
                                           np.ndarray]:
         """Samples at relative time t; global fallback when too thin."""
         return self._slices.get(t, self._global)
+
+    def has_time_slice(self, t: int) -> bool:
+        """Whether relative time t has its own slice (no fallback)."""
+        return t in self._slices
+
+    def distinct(self, t: Optional[int] = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ratios, ranks, counts) of the distinct (ratio, rank) pairs of
+        the global sample, or of `time_slice(t)` when t is given."""
+        if t is None:
+            return self._distinct_global
+        return self._distinct_slices.get(t, self._distinct_global)
+
+
+def _distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct rows of `columns`, sorted with the first column most
+    significant, then how often each occurs."""
+    order = np.lexsort(columns[::-1])
+    columns = [c[order] for c in columns]
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for c in columns:
+        new[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(order))).astype(float)
+    return (*(c[starts] for c in columns), counts)
 
 
 def build_population(trajectories: Iterable[QuestionTrajectory]
@@ -88,10 +125,26 @@ def build_population(trajectories: Iterable[QuestionTrajectory]
                              times=np.asarray(times, dtype=int))
 
 
-def _mean_prob(q: float, nu: float, rel_length, model: CommunityModel,
-               ratios: np.ndarray, ranks: np.ndarray) -> float:
-    return float(np.mean(vote_probs(q, model.lam, ratios, nu, rel_length,
-                                    model.beta, ranks)))
+_BLOCK = 1 << 16  # matrix entries (answers x samples) per array expression
+
+
+def _mean_probs(model: CommunityModel, q: np.ndarray, nu: np.ndarray,
+                rel_len: np.ndarray, ratios: np.ndarray, ranks: np.ndarray,
+                lengths: Optional[np.ndarray] = None,
+                counts: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mean vote probability of each answer (q, nu, rel_len) over the
+    samples (ratios, ranks). `lengths` puts the samples' own relative
+    lengths in place of the answers'; `counts` weights each sample."""
+    out = np.empty(len(q))
+    step = max(1, _BLOCK // len(ratios))
+    for lo in range(0, len(q), step):
+        rows = slice(lo, lo + step)
+        length = rel_len[rows, None] if lengths is None else lengths
+        p = vote_probs(q[rows, None], model.lam, ratios, nu[rows, None],
+                       length, model.beta, ranks)
+        out[rows] = np.mean(p, axis=1) if counts is None \
+            else np.sum(p * counts, axis=1) / np.sum(counts)
+    return out
 
 
 def estimate_quality(model: CommunityModel,
@@ -107,37 +160,63 @@ def estimate_quality(model: CommunityModel,
     answer's observed voting span, so it scales with vote count. With
     integrate_length the population's relative lengths are averaged over
     instead of holding the answer's own final relative length fixed.
+    Without it the averages run over the distinct (ratio, rank) pairs,
+    weighted by their counts.
     """
     if aggregate not in ("mean", "per_time_sum"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
-    out: dict[tuple[str, str], float] = {}
+    keys, q, nu, rel_len, n_votes = [], [], [], [], []
+    unmodeled = []
     for traj in trajectories:
-        rel_len = final_rel_lengths(traj)
-        votes_per_answer = {a.answer_id: 0 for a in traj.answers}
-        for ev in traj.events:
-            votes_per_answer[traj.answers[ev.answer_index].answer_id] += 1
-        nu = model.nu_for(traj.question_id)
-        for answer in traj.answers:
-            if not model.has_answer(traj.question_id, answer.answer_id):
-                log.warning("answer %s/%s not in model; skipped",
-                            traj.question_id, answer.answer_id)
+        lengths = final_rel_lengths(traj)
+        votes = Counter(ev.answer_index for ev in traj.events)
+        for j, answer in enumerate(traj.answers):
+            key = (traj.question_id, answer.answer_id)
+            if not model.has_answer(*key):
+                unmodeled.append(key)
                 continue
-            q = model.quality(traj.question_id, answer.answer_id)
-            if aggregate == "mean":
-                ratios, ranks, lengths = population.global_samples()
-                length_term = lengths if integrate_length \
-                    else rel_len[answer.answer_id]
-                value = _mean_prob(q, nu, length_term, model, ratios, ranks)
-            else:
-                value = 0.0
-                for t in range(1, votes_per_answer[answer.answer_id] + 1):
-                    ratios, ranks, lengths = population.time_slice(t)
-                    length_term = lengths if integrate_length \
-                        else rel_len[answer.answer_id]
-                    value += _mean_prob(q, nu, length_term, model,
-                                        ratios, ranks)
-            out[(traj.question_id, answer.answer_id)] = value
-    return out
+            keys.append(key)
+            q.append(model.quality(*key))
+            nu.append(model.nu_for(traj.question_id))
+            rel_len.append(lengths[answer.answer_id])
+            n_votes.append(votes[j])
+    if unmodeled:
+        log.warning("%d answers not in model, skipped (first: %s/%s)",
+                    len(unmodeled), *unmodeled[0])
+    if not keys:
+        return {}
+    q, nu, rel_len, n_votes = map(np.asarray, (q, nu, rel_len, n_votes))
+
+    def means(t: Optional[int], rows=slice(None)) -> np.ndarray:
+        if integrate_length:
+            ratios, ranks, lengths = population.global_samples() \
+                if t is None else population.time_slice(t)
+            counts = None
+        else:
+            ratios, ranks, counts = population.distinct(t)
+            lengths = None
+        return _mean_probs(model, q[rows], nu[rows], rel_len[rows], ratios,
+                           ranks, lengths, counts)
+
+    if aggregate == "mean":
+        return dict(zip(keys, means(None).tolist()))
+    # Answers by descending vote count: time index t adds to a prefix.
+    order = np.argsort(-n_votes, kind="stable")
+    q, nu, rel_len, n_votes = (a[order] for a in (q, nu, rel_len, n_votes))
+    n_at_least = np.cumsum(np.bincount(n_votes)[::-1])[::-1]
+    values = np.zeros(len(keys))
+    fallback = None
+    for t in range(1, int(n_votes[0]) + 1):
+        rows = slice(0, int(n_at_least[t]))
+        if population.has_time_slice(t):
+            values[rows] += means(t, rows)
+        else:
+            if fallback is None:  # later fallbacks need fewer rows
+                fallback = means(None, rows)
+            values[rows] += fallback[rows]
+    out = np.empty(len(keys))
+    out[order] = values
+    return dict(zip(keys, out.tolist()))
 
 
 MOODS = ("pos", "neutral", "neg")
@@ -216,12 +295,19 @@ B_GRID_STEP = 1e-3
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+def _power_law_sses(bs: np.ndarray, ranks: np.ndarray, probs: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Residual sum and optimal offset for each exponent in `bs`."""
+    base = 1.0 / (ranks ** bs[:, None] + 1.0)
+    c = np.mean(probs - base, axis=1)  # optimal offset for fixed b
+    resid = probs - base - c[:, None]
+    return np.vecdot(resid, resid), c
+
+
 def _power_law_sse(b: float, ranks: np.ndarray, probs: np.ndarray
                    ) -> tuple[float, float]:
-    base = 1.0 / (ranks ** b + 1.0)
-    c = float(np.mean(probs - base))  # optimal offset for fixed b
-    resid = probs - base - c
-    return float(resid @ resid), c
+    sse, c = _power_law_sses(np.array([b]), ranks, probs)
+    return float(sse[0]), float(c[0])
 
 
 def fit_power_law(curve: Sequence[tuple[int, float]]) -> PowerLawFit:
@@ -241,8 +327,7 @@ def fit_power_law(curve: Sequence[tuple[int, float]]) -> PowerLawFit:
         return PowerLawFit(b=0.0, c=c, sse=sse)
 
     grid = np.arange(0.0, B_GRID_MAX + B_GRID_STEP / 2, B_GRID_STEP)
-    sses = np.array([_power_law_sse(b, ranks, probs)[0] for b in grid])
-    k = int(np.argmin(sses))
+    k = int(np.argmin(_power_law_sses(grid, ranks, probs)[0]))
 
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import kendalltau as _scipy_kendalltau
 
 from .counterfactual import build_population, estimate_quality
 from .model import CommunityModel
@@ -65,15 +64,30 @@ def residual_to_diagonal(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
-    """Tie-corrected Kendall rank correlation (the tau-b variant)."""
+    """Tie-corrected Kendall rank correlation (the tau-b variant).
+
+    (C - D) / sqrt(n0 - n1) / sqrt(n0 - n2) over all pairs, clipped to
+    [-1, 1]: C and D count concordant and discordant pairs, n0 all pairs,
+    n1 and n2 the pairs tied in a and in b. The pairs are compared all at
+    once, so memory grows with the square of the length.
+    """
     if len(a) != len(b):
         raise ValueError("length mismatch")
     if len(a) < 2:
         raise ValueError("need at least 2 items")
-    tau = _scipy_kendalltau(a, b).statistic
-    if math.isnan(tau):
+    x = np.asarray(a, dtype=float)
+    y = np.asarray(b, dtype=float)
+    upper = np.triu_indices(len(x), k=1)
+    dx = np.sign(x[:, None] - x[None, :])[upper]
+    dy = np.sign(y[:, None] - y[None, :])[upper]
+    tot = len(dx)
+    xtie = tot - int(np.count_nonzero(dx))
+    ytie = tot - int(np.count_nonzero(dy))
+    if xtie == tot or ytie == tot:
         raise ValueError("tau undefined: one side is entirely tied")
-    return float(tau)
+    con_minus_dis = int(np.sum(dx * dy))
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
 
 
 @dataclass(frozen=True)

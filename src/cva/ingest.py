@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Optional, Union
 
+from .configio import InputError
 from .trajectory import Answer, QuestionTrajectory, VoteEvent
 
 log = logging.getLogger(__name__)
@@ -343,9 +344,9 @@ def load_labels(path) -> dict[str, QualityLabel]:
         reader = csv.DictReader(fh)
         expected = ["answer_id", "score", "source"]
         if reader.fieldnames != expected:
-            raise ValueError(f"label CSV header must be "
-                             f"{','.join(expected)}, got "
-                             f"{reader.fieldnames}")
+            raise InputError(path, f"label CSV header must be "
+                                   f"{','.join(expected)}, got "
+                                   f"{reader.fieldnames}")
         for row in reader:
             try:
                 score = float(row["score"])

@@ -14,6 +14,7 @@ debiasing on six-vote examples.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.special import expit
 
-from .configio import parse_key_values
+from .configio import InputError, parse_typed
 from .trajectory import (Answer, QuestionTrajectory, VoteContext, VoteEvent,
                          NEUTRAL_POS_RATIO, REL_LENGTH_CLIP,
                          read_trajectories, reconstruct_contexts)
@@ -31,6 +32,7 @@ log = logging.getLogger(__name__)
 
 ALPHA_LO = 1e-6
 ALPHA_HI = 1e6
+_P_SUM_ATOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's tolerance
 
 
 @dataclass(frozen=True)
@@ -60,15 +62,23 @@ class SimConfig:
                                  f"'auto', got {self.crp_alpha!r}")
         elif self.crp_alpha <= 0:
             raise ValueError("crp_alpha must be > 0")
-        _parse_source(self.length_source, ("lognormal", "empirical"))
-        _parse_source(self.question_weight_source,
-                      ("uniform", "zipf", "empirical"))
+        kinds = {_parse_source(self.length_source,
+                               ("lognormal", "empirical"))[0],
+                 _parse_source(self.question_weight_source,
+                               ("uniform", "zipf", "empirical"))[0]}
+        if self.crp_alpha == "auto" and "empirical" not in kinds:
+            raise ValueError("crp_alpha='auto' needs an empirical data "
+                             "source")
+
+
+def _alpha(text: str) -> Union[float, str]:
+    return text if text == "auto" else float(text)
 
 
 _SIM_CONFIG_TYPES = {
     "n_questions": int,
     "n_events": int,
-    "crp_alpha": "alpha",
+    "crp_alpha": _alpha,
     "quality_mean": float,
     "quality_sd": float,
     "true_lambda": float,
@@ -81,18 +91,15 @@ _SIM_CONFIG_TYPES = {
 
 
 def parse_sim_config(path) -> SimConfig:
-    raw = parse_key_values(path)
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in _SIM_CONFIG_TYPES:
-            raise ValueError(f"unknown sim config key: {key}")
-        caster = _SIM_CONFIG_TYPES[key]
-        if caster == "alpha":
-            kwargs[key] = value if value == "auto" else float(value)
-        else:
-            kwargs[key] = caster(value)
-    config = SimConfig(**kwargs)
-    config.validate()
+    values = parse_typed(path, _SIM_CONFIG_TYPES)
+    missing = [k for k in ("n_questions", "n_events") if k not in values]
+    if missing:
+        raise InputError(path, f"missing config key: {missing[0]}")
+    config = SimConfig(**values)
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise InputError(path, str(exc)) from None
     return config
 
 
@@ -105,6 +112,15 @@ def _parse_source(source: str, allowed: tuple[str, ...]
     if kind in ("lognormal", "zipf", "empirical") and not arg:
         raise ValueError(f"source {kind!r} needs an argument: "
                          f"{source!r}")
+    n_numbers = {"lognormal": 2, "zipf": 1}.get(kind)
+    if n_numbers is not None:
+        try:
+            numbers = [float(x) for x in arg.split(",")]
+        except ValueError:
+            numbers = []
+        if len(numbers) != n_numbers:
+            raise ValueError(f"source {kind!r} needs {n_numbers} "
+                             f"number(s): {source!r}")
     return kind, arg
 
 
@@ -114,10 +130,38 @@ def crp_new_answer(rng: np.random.Generator, n_prior: int,
     return rng.random() < alpha / (n_prior + alpha)
 
 
+def choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF that `Generator.choice(len(p), p=p)` searches, validated as
+    it validates `p`; build it once and draw from it with `draw_index`."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("probabilities must be a non-empty 1-D array")
+    if not np.all(p >= 0):
+        raise ValueError("probabilities must be non-negative")
+    if abs(float(np.sum(p)) - 1.0) > _P_SUM_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """The index `Generator.choice` draws for `cdf`, from the same single
+    `rng.random()`, in O(log n)."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_rank_cdf(n_ranks: int) -> np.ndarray:
+    weights = 1.0 / (1.0 + np.arange(n_ranks))
+    cdf = choice_cdf(weights / weights.sum())
+    cdf.setflags(write=False)  # shared by every caller
+    return cdf
+
+
 def pick_inverse_rank(rng: np.random.Generator, n_ranks: int) -> int:
     """Pick a display position 0..n_ranks-1 with probability ~ 1/(pos+1)."""
-    weights = 1.0 / (1.0 + np.arange(n_ranks))
-    return int(rng.choice(n_ranks, p=weights / weights.sum()))
+    return draw_index(rng, _inverse_rank_cdf(n_ranks))
 
 
 class _QuestionState:
@@ -150,7 +194,7 @@ def _length_sampler(source: str, rng: np.random.Generator):
     pool = np.asarray([a.text_length for t in read_trajectories(arg)
                        for a in t.answers], dtype=int)
     if pool.size == 0:
-        raise ValueError(f"no answers found in {arg}")
+        raise InputError(arg, "no answers found")
     return lambda: int(pool[rng.integers(pool.size)])
 
 
@@ -166,7 +210,7 @@ def _question_weights(source: str, n_questions: int,
         counts = np.asarray([len(t.answers) + len(t.events)
                              for t in read_trajectories(arg)], dtype=float)
         if counts.size == 0:
-            raise ValueError(f"no questions found in {arg}")
+            raise InputError(arg, "no questions found")
         if counts.size != n_questions:
             counts = counts[rng.integers(counts.size, size=n_questions)]
         weights = counts
@@ -177,10 +221,14 @@ def _resolve_alpha(config: SimConfig) -> float:
     if config.crp_alpha != "auto":
         return float(config.crp_alpha)
     for source in (config.question_weight_source, config.length_source):
-        kind, arg = source.partition(":")[::2]
-        if kind == "empirical":
-            return estimate_crp_alpha(read_trajectories(arg))
-    raise ValueError("crp_alpha='auto' needs an empirical data source")
+        kind, path = source.partition(":")[::2]
+        if kind == "empirical":  # validate() made sure that one is
+            break
+    trajectories = read_trajectories(path)
+    try:
+        return estimate_crp_alpha(trajectories)
+    except ValueError as exc:
+        raise InputError(path, str(exc)) from None
 
 
 def generate(config: SimConfig
@@ -198,11 +246,13 @@ def generate(config: SimConfig
     weights = _question_weights(config.question_weight_source,
                                 config.n_questions, rng)
 
+    question_cdf = choice_cdf(weights)
+
     states = [_QuestionState(f"q{i:04d}") for i in range(config.n_questions)]
     truth: dict[str, float] = {}
 
     for step in range(1, config.n_events + 1):
-        state = states[int(rng.choice(config.n_questions, p=weights))]
+        state = states[draw_index(rng, question_cdf)]
         write_answer = (state.n_crp_events == 0
                         or crp_new_answer(rng, state.n_crp_events, alpha))
         if write_answer:

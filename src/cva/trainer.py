@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .configio import parse_bool, parse_key_values
+from .configio import parse_typed
 from .model import (CommunityModel, EncodedEvents, Event, ParameterIndex,
                     curvature_bound_product, objective_and_grad)
 from .simulate import toy_scenario
@@ -25,6 +25,10 @@ from .trajectory import QuestionTrajectory, drop_first_votes, \
     with_contexts
 
 log = logging.getLogger(__name__)
+
+
+class NoTrainingEventsError(ValueError):
+    """No vote is left to fit, e.g. every one was a dropped first vote."""
 
 
 @dataclass(frozen=True)
@@ -48,15 +52,10 @@ _FIT_CONFIG_TYPES = {
 
 
 def parse_fit_config(path) -> FitConfig:
-    raw = parse_key_values(path)
-    kwargs = {}
-    for key, value in raw.items():
-        if key == "seed":
-            continue  # accepted for old config files; the fit is seedless
-        if key not in _FIT_CONFIG_TYPES:
-            raise ValueError(f"unknown fit config key: {key}")
-        caster = _FIT_CONFIG_TYPES[key]
-        kwargs[key] = parse_bool(value) if caster is bool else caster(value)
+    # "seed" is accepted for old config files and ignored: the fit is
+    # seedless.
+    kwargs = parse_typed(path, {**_FIT_CONFIG_TYPES, "seed": str})
+    kwargs.pop("seed", None)
     return FitConfig(**kwargs)
 
 
@@ -106,7 +105,7 @@ def fit_events(events: Sequence[Event], config: FitConfig,
                ) -> CommunityModel:
     """Fit a CommunityModel to pre-extracted training events."""
     if not events:
-        raise ValueError("zero training events")
+        raise NoTrainingEventsError("zero training events")
     q_keys = [ids for ids, _, _ in events]
     nu_keys = [qid for (qid, _), _, _ in events] if config.use_length else []
     index = ParameterIndex(q_keys, nu_keys, freeze_beta=config.freeze_beta)

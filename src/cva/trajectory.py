@@ -232,8 +232,9 @@ def final_rel_lengths(traj: QuestionTrajectory) -> dict[str, float]:
 #    "events": [{"answer_index", "timestamp", "sign"}, ...]}
 # Contexts and time indices are derived state and never serialized;
 # reading a line validates the question and replays its contexts. A line
-# that is not JSON, lacks a key or breaks an invariant raises
-# MalformedTrajectoryError prefixed with `path:line:`.
+# that is not UTF-8 or not JSON, lacks a key, breaks an invariant or
+# repeats an earlier line's question_id raises MalformedTrajectoryError
+# prefixed with `path:line:`.
 
 
 def trajectory_to_json_line(traj: QuestionTrajectory) -> str:
@@ -288,13 +289,22 @@ def write_trajectories(trajs: Iterable[QuestionTrajectory], path) -> None:
 
 
 def iter_trajectories(path) -> Iterator[QuestionTrajectory]:
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, so the line that holds
+    # them is the one reported.
+    first_line: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8")
+                line = line.strip()
+                if not line:
+                    continue
                 traj = trajectory_from_json(json.loads(line))
+            except UnicodeEncodeError as exc:
+                byte = ord(exc.object[exc.start]) - 0xDC00
+                reason = (f"not UTF-8: byte {byte:#04x} at column "
+                          f"{exc.start + 1}")
             except json.JSONDecodeError as exc:
                 reason = f"invalid JSON: {exc.msg} at column {exc.colno}"
             except KeyError as exc:
@@ -302,8 +312,12 @@ def iter_trajectories(path) -> Iterator[QuestionTrajectory]:
             except (ValueError, TypeError) as exc:
                 reason = str(exc)
             else:
-                yield traj
-                continue
+                first = first_line.setdefault(traj.question_id, lineno)
+                if first == lineno:
+                    yield traj
+                    continue
+                reason = (f"duplicate question_id {traj.question_id!r} "
+                          f"(first on line {first})")
             raise MalformedTrajectoryError(f"{path}:{lineno}: {reason}")
 
 

@@ -286,3 +286,88 @@ class TestMalformedTrajectoryFile:
                                        "sign": 1}])
         err = self._fit(tmp_path, capsys, json.dumps(obj))
         assert "q: event at t=1 references answer created at t=1" in err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"\xff\xfe"
+                         + json.dumps(GOOD_LINE).encode("utf-16-le") + b"\n")
+        code = run("fit", "--input", str(path),
+                   "--out", str(tmp_path / "m.json"))
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err == f"cva: {path}:1: not UTF-8: byte 0xff at column 1\n"
+
+    def test_duplicate_question_id(self, tmp_path, capsys):
+        err = self._fit(tmp_path, capsys, json.dumps(GOOD_LINE))
+        assert "duplicate question_id 'q' (first on line 1)" in err
+
+
+class TestInputErrors:
+    """A bad config, label file or a file without training votes ends the
+    command with one `cva: path: reason` line, never a traceback."""
+
+    def _run(self, capsys, *argv):
+        code = run(*map(str, argv))
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return code, err
+
+    def test_unknown_fit_config_key(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("learning_rate = 1\n")
+        code, err = self._run(capsys, "fit", "--input",
+                              workspace / "T.jsonl", "--config", cfg,
+                              "--out", tmp_path / "m.json")
+        assert code == 65
+        assert err == f"cva: {cfg}: unknown config key: learning_rate\n"
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("text, reason", [
+        ("n_questions = 0\nn_events = 10\n", "n_questions must be >= 1"),
+        ("n_questions = x\nn_events = 10\n", "n_questions: invalid literal"),
+        ("n_events = 10\n", "missing config key: n_questions"),
+        (SIM_CFG + "colour = red\n", "unknown config key: colour"),
+        (SIM_CFG + "crp_alpha = auto\n", "crp_alpha='auto' needs an"),
+        (SIM_CFG.replace("lognormal:6.0,0.5", "lognormal:6.0"),
+         "source 'lognormal' needs 2 number(s)"),
+    ])
+    def test_bad_sim_config(self, tmp_path, capsys, text, reason):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(text)
+        code, err = self._run(capsys, "simulate", "--config", cfg,
+                              "--out", tmp_path / "T.jsonl",
+                              "--truth", tmp_path / "truth.csv")
+        assert code == 65
+        assert err.startswith(f"cva: {cfg}: {reason}")
+
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CFG + "seed 3\n")
+        code, err = self._run(capsys, "simulate", "--config", cfg,
+                              "--out", tmp_path / "T.jsonl",
+                              "--truth", tmp_path / "truth.csv")
+        assert code == 65
+        assert err == f"cva: {cfg}:10: expected key=value\n"
+
+    def test_label_csv_wrong_header(self, workspace, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,score\nq-a0,0.5\n")
+        code, err = self._run(capsys, "evaluate",
+                              "--input", workspace / "T.jsonl",
+                              "--model", workspace / "model.json",
+                              "--ablation", workspace / "ablation.json",
+                              "--labels", labels,
+                              "--out", tmp_path / "r.json")
+        assert code == 65
+        assert err.startswith(f"cva: {labels}: label CSV header must be "
+                              "answer_id,score,source")
+
+    def test_no_training_events_exit_2(self, tmp_path, capsys):
+        # the only vote is its answer's first, which the fit drops
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(GOOD_LINE) + "\n")
+        code, err = self._run(capsys, "fit", "--input", path,
+                              "--out", tmp_path / "m.json")
+        assert code == 2
+        assert err == f"cva: {path}: no training events\n"
+        assert not (tmp_path / "m.json").exists()

@@ -1,12 +1,16 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from cva.counterfactual import (ContextPopulation, build_population,
+from cva.counterfactual import (SUBSAMPLE_THRESHOLD, TIME_SLICE_MIN,
+                                ContextPopulation, build_population,
                                 counterfactual_curve, estimate_quality,
                                 fit_power_law)
-from cva.model import CommunityModel
-from cva.simulate import toy_scenario
+from cva.model import PROB_CLIP, CommunityModel
+from cva.simulate import SimConfig, generate, toy_scenario
 from cva.trainer import FitConfig, fit
 from cva.trajectory import (Answer, QuestionTrajectory, VoteEvent,
                             reconstruct_contexts)
@@ -99,9 +103,14 @@ class TestEstimateQuality:
 
     def test_unmodeled_answer_skipped(self, caplog):
         model = CommunityModel(q={"q": {"q-a": 0.0}}, nu={"q": 0.0})
-        other = single_answer_traj(question_id="other")
-        out = estimate_quality(model, [other], population([0.5], [1]))
+        others = [single_answer_traj(question_id=f"other{i}")
+                  for i in range(3)]
+        with caplog.at_level(logging.WARNING, logger="cva.counterfactual"):
+            out = estimate_quality(model, others, population([0.5], [1]))
         assert out == {}
+        assert len(caplog.records) == 1
+        assert "3 answers not in model" in caplog.records[0].getMessage()
+        assert "other0/other0-a" in caplog.records[0].getMessage()
 
     def test_per_time_sum_mode(self):
         model = CommunityModel(q={"q": {"q-a": 0.2}}, nu={"q": 0.0},
@@ -157,6 +166,93 @@ class TestEstimateQuality:
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             population([], [])
+
+
+def brute_force_quality(model, trajs, pop, aggregate, integrate_length):
+    """Q_hat from every context, one by one, summed exactly with fsum."""
+    def mean_prob(q, nu, rel_len, samples):
+        ratios, ranks, lengths = samples
+        x = q + model.lam * ratios + nu * (lengths if integrate_length
+                                           else rel_len) \
+            + model.beta / (1.0 + ranks)
+        probs = np.clip(1.0 / (1.0 + np.exp(-x)), PROB_CLIP,
+                        1.0 - PROB_CLIP)
+        return math.fsum(probs) / len(probs)
+
+    out = {}
+    for traj in trajs:
+        log_len = [math.log(a.text_length) for a in traj.answers]
+        mean_ll = sum(log_len) / len(log_len)
+        for j, answer in enumerate(traj.answers):
+            if not model.has_answer(traj.question_id, answer.answer_id):
+                continue
+            q = model.quality(traj.question_id, answer.answer_id)
+            nu = model.nu_for(traj.question_id)
+            rel_len = min(max(log_len[j] - mean_ll, -3.0), 3.0)
+            if aggregate == "mean":
+                value = mean_prob(q, nu, rel_len, pop.global_samples())
+            else:
+                n_votes = sum(ev.answer_index == j for ev in traj.events)
+                value = math.fsum(
+                    mean_prob(q, nu, rel_len, pop.time_slice(t))
+                    for t in range(1, n_votes + 1))
+            out[(traj.question_id, answer.answer_id)] = value
+    return out
+
+
+class TestQualityOracle:
+    """estimate_quality against a per-context loop, to 1e-12 relative."""
+
+    @pytest.fixture(scope="class")
+    def community(self):
+        trajs, _ = generate(SimConfig(n_questions=60, n_events=2_000,
+                                      crp_alpha=0.7, true_lambda=1.0,
+                                      true_beta=2.0, seed=4))
+        rng = np.random.default_rng(8)
+        q = {t.question_id: {a.answer_id: float(rng.normal())
+                             for a in t.answers[1:]}  # first: unmodeled
+             for t in trajs}
+        nu = {t.question_id: float(rng.normal()) for t in trajs}
+        model = CommunityModel(q=q, nu=nu, lam=0.9, beta=1.7)
+        return model, trajs
+
+    def assert_matches(self, got, expected):
+        assert got.keys() == expected.keys() and got
+        for key, value in expected.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("aggregate", ["mean", "per_time_sum"])
+    @pytest.mark.parametrize("integrate_length", [False, True])
+    def test_simulated_population(self, community, aggregate,
+                                  integrate_length):
+        model, trajs = community
+        pop = build_population(trajs)
+        # the busiest answer's votes reach both full slices and thin ones,
+        # which fall back to the global sample
+        max_votes = max(np.bincount([ev.answer_index for ev in t.events]
+                                    ).max() for t in trajs if t.events)
+        full = [pop.has_time_slice(t) for t in range(1, max_votes + 1)]
+        assert any(full) and not all(full)
+        assert len(pop.time_slice(1)[0]) >= TIME_SLICE_MIN
+        got = estimate_quality(model, trajs, pop, aggregate=aggregate,
+                               integrate_length=integrate_length)
+        self.assert_matches(got, brute_force_quality(
+            model, trajs, pop, aggregate, integrate_length))
+
+    def test_subsampled_population(self, community):
+        model, trajs = community
+        rng = np.random.default_rng(2)
+        n = SUBSAMPLE_THRESHOLD + 5_000
+        pop = population(rng.integers(0, 9, n) / 8, rng.integers(1, 7, n),
+                         lengths=rng.normal(size=n),
+                         times=rng.integers(1, 4, n))
+        assert len(pop.global_samples()[0]) < n
+        trajs = trajs[:3]
+        for integrate_length in (False, True):
+            got = estimate_quality(model, trajs, pop,
+                                   integrate_length=integrate_length)
+            self.assert_matches(got, brute_force_quality(
+                model, trajs, pop, "mean", integrate_length))
 
 
 class TestCounterfactualCurve:

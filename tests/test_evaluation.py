@@ -124,6 +124,19 @@ class TestKendallTau:
             assert kendall_tau(a, b) == \
                 pytest.approx(brute_force_tau_b(a, b), abs=1e-12)
 
+    def test_bit_identical_to_scipy(self, rng):
+        from scipy.stats import kendalltau
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            a = rng.integers(0, int(rng.integers(2, 8)), size=n)
+            b = rng.normal(size=n).round(int(rng.integers(0, 3)))
+            if len(set(a)) < 2 or len(set(b)) < 2:
+                continue
+            expected = float(kendalltau(a, b).statistic)
+            assert kendall_tau(list(a), list(b)) == expected
+            assert kendall_tau(list(b), list(a)) == \
+                float(kendalltau(b, a).statistic)
+
     def test_all_tied_errors(self):
         with pytest.raises(ValueError):
             kendall_tau([1, 1, 1], [1, 2, 3])
@@ -258,3 +271,16 @@ class TestPipeline:
         assert set(rep.p_values["tau"]) == {"vote_diff", "no_position"}
         round_trip = rep.to_json()
         assert round_trip["n_questions"] == 12
+
+    def test_clipped_q_hat_ties_rank_by_creation_order(self):
+        # Both answers' vote probabilities clip to 1 - 1e-12 in every
+        # context, so their Q_hat are equal although q ranks a1 first.
+        traj = self.make_question("q0", [2, 1])
+        model = CommunityModel(q={"q0": {"q0-a0": 40.0, "q0-a1": 50.0}},
+                               nu={"q0": 0.0}, lam=1.0, beta=2.0)
+        truth = {"q0-a0": -0.5, "q0-a1": 0.5}
+        rep = evaluate_rankers([traj], model, model, truth, seed=0)
+        assert rep.per_question_tau["cva"] == [-1.0]
+        by_q = evaluate_rankers([traj], model, model, truth, seed=0,
+                                cva_score="q")
+        assert by_q.per_question_tau["cva"] == [1.0]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cva.simulate import (SimConfig, crp_new_answer, estimate_crp_alpha,
-                          generate, parse_sim_config, pick_inverse_rank,
-                          scale_truth, toy_scenario)
+from cva.simulate import (SimConfig, choice_cdf, crp_new_answer,
+                          draw_index, estimate_crp_alpha, generate,
+                          parse_sim_config, pick_inverse_rank, scale_truth,
+                          toy_scenario)
 from cva.trajectory import (Answer, QuestionTrajectory,
                             reconstruct_contexts, trajectory_to_json_line)
 
@@ -117,6 +118,35 @@ class TestCrpStatistics:
         freq = counts / n_trials
         se = np.sqrt(expected * (1 - expected) / n_trials)
         assert np.all(np.abs(freq - expected) < 3 * se)
+
+    def test_draw_matches_generator_choice(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(1, 3000))
+            weights = rng.random(n) ** 3
+            weights[rng.random(n) < 0.2] = 0.0
+            if weights.sum() == 0:
+                continue
+            p = weights / weights.sum()
+            cdf = choice_cdf(p)
+            ours = np.random.default_rng(int(rng.integers(2**32)))
+            ref = np.random.Generator(type(ours.bit_generator)())
+            ref.bit_generator.state = ours.bit_generator.state
+            for _ in range(200):
+                assert draw_index(ours, cdf) == int(ref.choice(n, p=p))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_inverse_rank_matches_generator_choice(self):
+        ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for n_ranks in list(range(1, 30)) * 20:
+            weights = 1.0 / (1.0 + np.arange(n_ranks))
+            assert pick_inverse_rank(ours, n_ranks) == \
+                int(ref.choice(n_ranks, p=weights / weights.sum()))
+
+    def test_choice_cdf_rejects_bad_probabilities(self):
+        for p in ([], [0.5, -0.1, 0.6], [0.5, 0.4], [np.nan, 1.0]):
+            with pytest.raises(ValueError):
+                choice_cdf(np.asarray(p, dtype=float))
 
 
 class TestEstimateAlpha:
