@@ -23,20 +23,21 @@ from .simulate import SimConfig, estimate_crp_alpha, generate, \
     parse_sim_config, scale_truth, toy_scenario
 from .trainer import FitConfig, fit, fit_prefixes, parse_fit_config, \
     toy_quality_curves, training_events
-from .trajectory import Answer, MalformedTrajectoryError, \
-    QuestionTrajectory, VoteContext, VoteEvent, drop_first_votes, \
-    final_rel_lengths, final_vote_diffs, read_trajectories, \
-    reconstruct_contexts, write_trajectories
+from .trajectory import Answer, Community, MalformedTrajectoryError, \
+    QuestionTrajectory, VoteContext, VoteEvent, as_community, \
+    drop_first_votes, final_rel_lengths, final_vote_diffs, \
+    read_trajectories, reconstruct_contexts, write_trajectories
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Answer", "BiasProfile", "CommunityModel", "ContextPopulation",
-    "CurveResult", "EvaluationReport", "FilterReport", "FitConfig",
-    "MalformedTrajectoryError", "ParsedQuestion", "PowerLawFit",
-    "QualityLabel", "QuestionTrajectory", "RankingSet", "RawVoteRow",
-    "RejectLog", "SimConfig", "VoteContext", "VoteEvent", "apply_filters",
-    "build_population", "counterfactual_curve", "drop_first_votes",
+    "Answer", "BiasProfile", "Community", "CommunityModel",
+    "ContextPopulation", "CurveResult", "EvaluationReport", "FilterReport",
+    "FitConfig", "MalformedTrajectoryError", "ParsedQuestion",
+    "PowerLawFit", "QualityLabel", "QuestionTrajectory", "RankingSet",
+    "RawVoteRow", "RejectLog", "SimConfig", "VoteContext", "VoteEvent",
+    "apply_filters", "as_community", "build_population",
+    "counterfactual_curve", "drop_first_votes",
     "estimate_crp_alpha", "estimate_quality", "evaluate_rankers",
     "final_rel_lengths", "final_vote_diffs", "fit", "fit_power_law",
     "fit_prefixes", "generate", "herding_degree", "kendall_tau",

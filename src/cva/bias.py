@@ -16,9 +16,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .configio import check_json_object, is_number, read_json
 from .model import CommunityModel, vote_probs
-from .trajectory import QuestionTrajectory, drop_first_votes, \
-    with_contexts
+from .trajectory import QuestionTrajectory, as_community
 
 
 @dataclass
@@ -30,28 +30,25 @@ class BiasProfile:
     median_flags: Optional[tuple[bool, bool]] = None  # (herding, position)
 
 
-def _scored_events(trajectories: Iterable[QuestionTrajectory],
-                   drop_first: bool):
-    for traj in map(with_contexts, trajectories):
-        if drop_first:
-            traj = drop_first_votes(traj)
-        for ev in traj.events:
-            yield traj.question_id, \
-                traj.answers[ev.answer_index].answer_id, ev.context
-
-
 def _herding(model: CommunityModel,
              trajectories: Iterable[QuestionTrajectory],
              drop_first: bool) -> tuple[float, int]:
     """(herding degree, number of scored votes) from one walk."""
-    rows = [(model.quality(qid, aid), model.nu_for(qid), ctx.pos_ratio,
-             ctx.rel_length, ctx.rank,
-             1.0 if ctx.prior_pos >= ctx.prior_neg else -1.0)
-            for qid, aid, ctx in _scored_events(trajectories, drop_first)]
-    if not rows:
+    c = as_community(trajectories)
+    rows = np.flatnonzero(~c.first_vote) if drop_first \
+        else np.arange(len(c.sign))
+    if not len(rows):
         raise ValueError("no events to score")
-    q, nu, ratio, length, rank, h = np.array(rows, dtype=float).T
-    p = vote_probs(q, model.lam, ratio, nu, length, model.beta, rank)
+    slots = c.answer_slot[rows]
+    used = np.unique(slots)
+    slot_q = np.zeros(c.n_answers)
+    slot_q[used] = [model.quality(*c.answer_keys[s]) for s in used.tolist()]
+    question_nu = np.asarray([model.nu_for(qid) for qid in c.question_ids],
+                             dtype=float)
+    h = np.where(c.prior_pos[rows] >= c.prior_neg[rows], 1.0, -1.0)
+    p = vote_probs(slot_q[slots], model.lam, c.pos_ratio[rows],
+                   question_nu[c.question[rows]], c.rel_length[rows],
+                   model.beta, c.rank[rows].astype(float))
     log_sum = float(np.sum(h * np.log(p / (1.0 - p))))
     return math.exp(log_sum / len(rows)), len(rows)
 
@@ -128,6 +125,19 @@ def save_profile(profile: BiasProfile, path) -> None:
         fh.write("\n")
 
 
+_PROFILE_KEYS = {
+    "community": (lambda v: isinstance(v, str), "a string"),
+    "position_sensitivity": (is_number, "a number"),
+    "herding_degree": (is_number, "a number"),
+    "n_events": (is_number, "a number"),
+}
+
+
 def load_profile(path) -> BiasProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return profile_from_json(json.load(fh))
+    """Read a profile file; InputError for one that is not a profile."""
+    obj = read_json(path)
+    check_json_object(path, obj, _PROFILE_KEYS, {"median_flags": (
+        lambda v: v is None or (isinstance(v, list) and len(v) == 2
+                                and all(isinstance(b, bool) for b in v)),
+        "null or an array of two booleans")})
+    return profile_from_json(obj)

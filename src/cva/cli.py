@@ -4,8 +4,9 @@ Wires ingestion, fitting, simulation, quality estimation, bias profiling,
 counterfactual queries and evaluation into reproducible runs. All outputs
 are plain JSON/JSONL/CSV, every seeded command is bit-reproducible, and
 exit codes follow the sysexits convention (64 usage, 65 malformed input
-file, 66 unreadable input) plus 2 for a community rejected as too small
-or left without training events and 3 for a fit that did not converge.
+file, 66 unreadable input) plus 2 for a community rejected as too small,
+left without training events or without a question to evaluate, and 3
+for a fit that did not converge.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .bias import load_profile, map_coordinates, profile_community, \
 from .configio import InputError
 from .counterfactual import MOODS, build_population, counterfactual_curve, \
     estimate_quality, fit_power_law
-from .evaluation import evaluate_rankers
+from .evaluation import NoRankableQuestionsError, evaluate_rankers
 from .ingest import RejectLog, apply_filters, load_labels, parse_dump
 from .model import load_model, save_model
 from .simulate import generate, parse_sim_config, scale_truth
@@ -214,9 +215,14 @@ def _cmd_evaluate(args) -> int:
     ablation = load_model(args.ablation)
     labels = load_labels(args.labels)
     truth_scores = {aid: lbl.score for aid, lbl in labels.items()}
-    report = evaluate_rankers(trajs, model, ablation, truth_scores,
-                              seed=args.seed,
-                              cva_score="q" if args.rank_by_q else "q_hat")
+    try:
+        report = evaluate_rankers(trajs, model, ablation, truth_scores,
+                                  seed=args.seed,
+                                  cva_score="q" if args.rank_by_q
+                                  else "q_hat")
+    except NoRankableQuestionsError as exc:
+        print(f"cva: {args.labels}: {exc}", file=sys.stderr)
+        return EX_COMMUNITY_TOO_SMALL
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")

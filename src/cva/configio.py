@@ -1,9 +1,11 @@
-"""Plain-text key=value config files, and the error every parser of an
-input file raises for a file it cannot use."""
+"""Plain-text key=value config files, JSON and text input helpers, and
+the error every parser of an input file raises for a file it cannot
+use."""
 
 from __future__ import annotations
 
-from typing import Optional
+import json
+from typing import Callable, Iterable, Iterator, Optional
 
 
 class InputError(ValueError):
@@ -13,6 +15,63 @@ class InputError(ValueError):
         where = f"{path}:{line}" if line is not None else f"{path}"
         super().__init__(f"{where}: {reason}")
         self.path = path
+
+
+def utf8_lines(path, fh: Iterable[str]) -> Iterator[str]:
+    """The lines of `fh`, a text file opened with
+    errors="surrogateescape"; InputError at the first line holding bytes
+    that are not UTF-8."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(exc.object[exc.start]) - 0xDC00
+                raise InputError(path, f"not UTF-8: byte {byte:#04x} at "
+                                       f"column {exc.start + 1}",
+                                 lineno) from None
+        yield line
+
+
+def read_json(path):
+    """The JSON value in `path`; InputError, with the line, for a file
+    that is not UTF-8 or not JSON."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = "".join(utf8_lines(path, fh))
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(path, f"invalid JSON: {exc.msg} at column "
+                               f"{exc.colno}", exc.lineno) from None
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {dict: "object", list: "array", str: "string",
+            type(None): "null"}.get(type(value), type(value).__name__)
+
+
+def is_number(value) -> bool:
+    return _json_kind(value) == "number"
+
+
+def check_json_object(path, obj, required: dict[str, tuple[Callable, str]],
+                      optional: Optional[dict[str, tuple[Callable, str]]]
+                      = None) -> None:
+    """InputError unless `obj` is a JSON object holding every `required`
+    key; each key present maps to (check, what the check expects)."""
+    if not isinstance(obj, dict):
+        raise InputError(path, f"expected a JSON object, got "
+                               f"{_json_kind(obj)}")
+    for key in required:
+        if key not in obj:
+            raise InputError(path, f"missing key {key!r}")
+    for key, (check, expected) in {**required, **(optional or {})}.items():
+        if key in obj and not check(obj[key]):
+            raise InputError(path, f"{key}: expected {expected}")
 
 
 def parse_bool(text: str) -> bool:
@@ -27,8 +86,8 @@ def parse_bool(text: str) -> bool:
 def parse_key_values(path) -> dict[str, str]:
     """Read key=value lines; '#' starts a comment, blank lines ignored."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(utf8_lines(path, fh), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

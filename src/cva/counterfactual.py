@@ -11,15 +11,13 @@ parameter power law summarizes how fast the probability decays with rank.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .model import CommunityModel, vote_probs
-from .trajectory import QuestionTrajectory, final_rel_lengths, \
-    with_contexts
+from .trajectory import QuestionTrajectory, as_community
 
 log = logging.getLogger(__name__)
 
@@ -112,17 +110,10 @@ def _distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
 def build_population(trajectories: Iterable[QuestionTrajectory]
                      ) -> ContextPopulation:
     """Collect every vote context in the community into a population."""
-    ratios, ranks, lengths, times = [], [], [], []
-    for traj in map(with_contexts, trajectories):
-        for ev in traj.events:
-            ratios.append(ev.context.pos_ratio)
-            ranks.append(ev.context.rank)
-            lengths.append(ev.context.rel_length)
-            times.append(ev.time_index)
-    return ContextPopulation(ratios=np.asarray(ratios, dtype=float),
-                             ranks=np.asarray(ranks, dtype=float),
-                             lengths=np.asarray(lengths, dtype=float),
-                             times=np.asarray(times, dtype=int))
+    c = as_community(trajectories)
+    return ContextPopulation(ratios=c.pos_ratio,
+                             ranks=c.rank.astype(float),
+                             lengths=c.rel_length, times=c.time_index)
 
 
 _BLOCK = 1 << 16  # matrix entries (answers x samples) per array expression
@@ -165,21 +156,19 @@ def estimate_quality(model: CommunityModel,
     """
     if aggregate not in ("mean", "per_time_sum"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
+    c = as_community(trajectories)
+    votes = np.bincount(c.answer_slot, minlength=c.n_answers).tolist()
     keys, q, nu, rel_len, n_votes = [], [], [], [], []
     unmodeled = []
-    for traj in trajectories:
-        lengths = final_rel_lengths(traj)
-        votes = Counter(ev.answer_index for ev in traj.events)
-        for j, answer in enumerate(traj.answers):
-            key = (traj.question_id, answer.answer_id)
-            if not model.has_answer(*key):
-                unmodeled.append(key)
-                continue
-            keys.append(key)
-            q.append(model.quality(*key))
-            nu.append(model.nu_for(traj.question_id))
-            rel_len.append(lengths[answer.answer_id])
-            n_votes.append(votes[j])
+    for key, length, n in zip(c.answer_keys, c.final_rel_lengths(), votes):
+        if not model.has_answer(*key):
+            unmodeled.append(key)
+            continue
+        keys.append(key)
+        q.append(model.quality(*key))
+        nu.append(model.nu_for(key[0]))
+        rel_len.append(length)
+        n_votes.append(n)
     if unmodeled:
         log.warning("%d answers not in model, skipped (first: %s/%s)",
                     len(unmodeled), *unmodeled[0])
@@ -247,32 +236,38 @@ def counterfactual_curve(model: CommunityModel,
         raise ValueError("need at least 2 ranks")
     if mood not in MOODS:
         raise ValueError(f"unknown mood {mood!r}")
+    c = as_community(trajectories)
+    slots = [s for s, key in enumerate(c.answer_keys)
+             if model.has_answer(*key)]
+    if mood == "neutral":
+        ratio = np.full(len(slots), 0.5)
+    else:
+        # each answer's mean ratio over its votes cast in this mood
+        voted = c.pos_ratio > 0.5 if mood == "pos" else c.pos_ratio < 0.5
+        order = np.argsort(c.answer_slot[voted], kind="stable")
+        voted_slots = c.answer_slot[voted][order]
+        ratios = c.pos_ratio[voted][order]
+        found, starts = np.unique(voted_slots, return_index=True)
+        mean_ratio = dict(zip(found.tolist(), (
+            float(np.mean(group)) for group in np.split(ratios, starts[1:]))))
+        slots = [s for s in slots if s in mean_ratio]
+        ratio = np.asarray([mean_ratio[s] for s in slots])
+    keys = [c.answer_keys[s] for s in slots]
+    q = np.asarray([model.quality(*key) for key in keys])
+    nu = np.asarray([model.nu_for(qid) for qid, _ in keys])
+    final_rel_length = c.final_rel_lengths()
+    rel_len = np.asarray([final_rel_length[s] for s in slots])
     rank_grid = np.arange(1, ranks + 1, dtype=float)
     total = np.zeros(ranks)
-    n_answers = 0
-    for traj in map(with_contexts, trajectories):
-        rel_len = final_rel_lengths(traj)
-        nu = model.nu_for(traj.question_id)
-        ratios_by_answer: dict[str, list[float]] = {}
-        for ev in traj.events:
-            aid = traj.answers[ev.answer_index].answer_id
-            r = ev.context.pos_ratio
-            if (mood == "pos" and r > 0.5) or (mood == "neg" and r < 0.5):
-                ratios_by_answer.setdefault(aid, []).append(r)
-        for answer in traj.answers:
-            aid = answer.answer_id
-            if not model.has_answer(traj.question_id, aid):
-                continue
-            if mood == "neutral":
-                ratio = 0.5
-            elif aid in ratios_by_answer:
-                ratio = float(np.mean(ratios_by_answer[aid]))
-            else:
-                continue
-            q = model.quality(traj.question_id, aid)
-            total += vote_probs(q, model.lam, ratio, nu, rel_len[aid],
-                                model.beta, rank_grid)
-            n_answers += 1
+    n_answers = len(slots)
+    step = max(1, _BLOCK // ranks)
+    for lo in range(0, n_answers, step):
+        rows = slice(lo, lo + step)
+        # answer by answer, so the sum keeps its order
+        for p in vote_probs(q[rows, None], model.lam, ratio[rows, None],
+                            nu[rows, None], rel_len[rows, None], model.beta,
+                            rank_grid):
+            total += p
     if n_answers == 0:
         log.warning("no qualifying answers for mood %r", mood)
         return CurveResult(mood=mood, points=(), n_answers=0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .counterfactual import build_population, estimate_quality
 from .model import CommunityModel
-from .trajectory import QuestionTrajectory, final_vote_diffs
+from .trajectory import QuestionTrajectory, as_community
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +31,10 @@ BASELINES = (RANKER_VOTE_DIFF, RANKER_NO_POSITION)
 
 BOOTSTRAP_RESAMPLES = 10_000
 MIN_QUESTIONS_FOR_TEST = 10
+
+
+class NoRankableQuestionsError(ValueError):
+    """No question is left to evaluate, e.g. no labels name its answers."""
 
 
 def rank_answers(scores: Sequence[float]) -> list[int]:
@@ -204,7 +208,8 @@ def score_rankings(sets: Sequence[RankingSet], seed: int
 
     n = len(per_tau[rankers[0]]) if rankers else 0
     if n == 0:
-        raise ValueError("no questions with evaluable rankings")
+        raise NoRankableQuestionsError(
+            "no questions with evaluable rankings")
     mean_tau = {r: float(np.mean(per_tau[r])) for r in rankers}
     residual_sum = {r: float(np.sum(per_res[r])) for r in rankers}
 
@@ -241,27 +246,31 @@ def evaluate_rankers(trajectories: Sequence[QuestionTrajectory],
     """
     if cva_score not in ("q_hat", "q"):
         raise ValueError(f"unknown cva_score {cva_score!r}")
-    population = build_population(trajectories)
-
-    diff_scores: dict[tuple[str, str], float] = {}
-    for traj in trajectories:
-        for aid, diff in final_vote_diffs(traj).items():
-            diff_scores[(traj.question_id, aid)] = float(diff)
+    community = as_community(trajectories)
+    population = build_population(community)
+    diffs = np.bincount(community.answer_slot, weights=community.sign,
+                        minlength=community.n_answers)
+    diff_scores = dict(zip(community.answer_keys, diffs.tolist()))
 
     if cva_score == "q":
         cva_scores = {(qid, aid): q for qid, by_a in model.q.items()
                       for aid, q in by_a.items()}
     else:
-        cva_scores = estimate_quality(model, trajectories, population)
-    ablation_scores = estimate_quality(ablation_model, trajectories,
+        cva_scores = estimate_quality(model, community, population)
+    ablation_scores = estimate_quality(ablation_model, community,
                                        population)
 
+    # ranking reads each question's answers, not its votes
+    questions = [QuestionTrajectory(qid, answers, ())
+                 for qid, answers in zip(community.question_ids,
+                                         community.answers)]
     sets, n_unrankable = build_ranking_sets(
-        trajectories, truth_scores,
+        questions, truth_scores,
         {RANKER_VOTE_DIFF: diff_scores, RANKER_CVA: cva_scores,
          RANKER_NO_POSITION: ablation_scores})
     if not sets:
-        raise ValueError("no questions with at least two scored answers")
+        raise NoRankableQuestionsError(
+            "no questions with at least two scored answers")
     report = score_rankings(sets, seed)
     report.n_skipped += n_unrankable
     return report

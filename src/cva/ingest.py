@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Optional, Union
 
-from .configio import InputError
+from .configio import InputError, utf8_lines
 from .trajectory import Answer, QuestionTrajectory, VoteEvent
 
 log = logging.getLogger(__name__)
@@ -340,8 +340,9 @@ def load_labels(path) -> dict[str, QualityLabel]:
     labels: dict[str, QualityLabel] = {}
     n_duplicates = 0
     n_rejected = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
+        reader = csv.DictReader(utf8_lines(path, fh))
         expected = ["answer_id", "score", "source"]
         if reader.fieldnames != expected:
             raise InputError(path, f"label CSV header must be "

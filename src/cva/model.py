@@ -16,17 +16,21 @@ in the test suite.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
 
+from .configio import check_json_object, is_number, read_json
+from .trajectory import Community, VoteContext
+
 PROB_CLIP = 1e-12  # keeps log-likelihood terms finite
 
 # One training observation: ((question_id, answer_id), v, context)
 # with v = 1 for a positive vote and 0 for a negative one.
-Event = tuple[tuple[str, str], int, "VoteContext"]  # noqa: F821
+Event = tuple[tuple[str, str], int, VoteContext]
 
 
 @dataclass
@@ -128,11 +132,46 @@ class ParameterIndex:
                               fit_meta=dict(fit_meta or {}))
 
 
+class EventColumns(SequenceABC):
+    """Training events that are rows of a Community: a read-only
+    Sequence[Event] whose items are built on access, and whose columns
+    EncodedEvents reads directly.
+
+    `answer_slots` holds each row's answer slot; `q_keys` and
+    `question_ids` list the distinct answers and questions the rows vote
+    on.
+    """
+
+    def __init__(self, community: Community, rows: np.ndarray):
+        self.community = community
+        self.rows = rows
+        self.answer_slots = community.answer_slot[rows]
+        self.q_keys = [community.answer_keys[s]
+                       for s in np.unique(self.answer_slots).tolist()]
+        self.question_ids = [community.question_ids[i] for i in
+                             np.unique(community.question[rows]).tolist()]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        c, r = self.community, int(self.rows[i])
+        ctx = VoteContext(int(c.rank[r]), float(c.pos_ratio[r]),
+                          float(c.rel_length[r]), int(c.prior_pos[r]),
+                          int(c.prior_neg[r]))
+        return c.answer_keys[self.answer_slots[i]], int(c.sign[r] > 0), ctx
+
+
 class EncodedEvents:
     """Training events flattened into numpy arrays for one ParameterIndex."""
 
     def __init__(self, index: ParameterIndex, events: Iterable[Event]):
         self.index = index
+        if isinstance(events, EventColumns):
+            self._encode_columns(events)
+            return
         v, ratio, length, inv_rank, q_slot, nu_slot = [], [], [], [], [], []
         for (qid, aid), vote, ctx in events:
             if vote not in (0, 1):
@@ -149,6 +188,22 @@ class EncodedEvents:
         self.inv_rank = np.asarray(inv_rank, dtype=float)
         self.q_slot = np.asarray(q_slot, dtype=int)
         self.nu_slot = np.asarray(nu_slot, dtype=int)
+
+    def _encode_columns(self, events: EventColumns) -> None:
+        """The arrays the loop above builds, gathered from the rows."""
+        index, c, rows = self.index, events.community, events.rows
+        self.v = (c.sign[rows] > 0).astype(float)
+        self.ratio = c.pos_ratio[rows]
+        self.length = c.rel_length[rows]
+        self.inv_rank = 1.0 / (1.0 + c.rank[rows])
+        slot_q = np.zeros(c.n_answers, dtype=int)
+        used = np.unique(events.answer_slots)
+        slot_q[used] = [index.q_slot(c.answer_keys[s]) for s in used.tolist()]
+        self.q_slot = slot_q[events.answer_slots]
+        question_nu = np.asarray(
+            [index.nu_slot(qid) if qid in index._nu_pos else -1
+             for qid in c.question_ids], dtype=int)
+        self.nu_slot = question_nu[c.question[rows]]
 
     def __len__(self) -> int:
         return len(self.v)
@@ -273,6 +328,24 @@ def save_model(model: CommunityModel, path) -> None:
         fh.write("\n")
 
 
+def _numbers(value) -> bool:
+    return isinstance(value, dict) and all(map(is_number, value.values()))
+
+
+_MODEL_KEYS = {
+    "q": (lambda v: isinstance(v, dict) and all(map(_numbers, v.values())),
+          "an object of objects of numbers"),
+    "lambda": (is_number, "a number"),
+    "nu": (_numbers, "an object of numbers"),
+    "beta": (is_number, "a number"),
+    "l2_weight": (is_number, "a number"),
+}
+
+
 def load_model(path) -> CommunityModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+    """Read a model file; InputError for one that is not a model."""
+    obj = read_json(path)
+    check_json_object(path, obj, _MODEL_KEYS,
+                      {"fit_meta": (lambda v: isinstance(v, dict),
+                                    "an object")})
+    return model_from_json(obj)

@@ -121,6 +121,9 @@ def _parse_source(source: str, allowed: tuple[str, ...]
         if len(numbers) != n_numbers:
             raise ValueError(f"source {kind!r} needs {n_numbers} "
                              f"number(s): {source!r}")
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"source {kind!r} needs finite numbers: "
+                             f"{source!r}")
     return kind, arg
 
 
@@ -191,8 +194,9 @@ def _length_sampler(source: str, rng: np.random.Generator):
     if kind == "lognormal":
         mu, sigma = (float(x) for x in arg.split(","))
         return lambda: max(1, round(rng.lognormal(mu, sigma)))
-    pool = np.asarray([a.text_length for t in read_trajectories(arg)
-                       for a in t.answers], dtype=int)
+    pool = np.asarray([a.text_length for answers in
+                       read_trajectories(arg).answers for a in answers],
+                      dtype=int)
     if pool.size == 0:
         raise InputError(arg, "no answers found")
     return lambda: int(pool[rng.integers(pool.size)])
@@ -207,8 +211,9 @@ def _question_weights(source: str, n_questions: int,
         s = float(arg)
         weights = 1.0 / np.arange(1, n_questions + 1) ** s
     else:
-        counts = np.asarray([len(t.answers) + len(t.events)
-                             for t in read_trajectories(arg)], dtype=float)
+        community = read_trajectories(arg)
+        counts = np.asarray([len(a) for a in community.answers],
+                            dtype=float) + np.diff(community.event_starts)
         if counts.size == 0:
             raise InputError(arg, "no questions found")
         if counts.size != n_questions:
@@ -224,9 +229,12 @@ def _resolve_alpha(config: SimConfig) -> float:
         kind, path = source.partition(":")[::2]
         if kind == "empirical":  # validate() made sure that one is
             break
-    trajectories = read_trajectories(path)
+    community = read_trajectories(path)
+    n_answers = [len(a) for a in community.answers]
     try:
-        return estimate_crp_alpha(trajectories)
+        return _crp_alpha(n_answers, (n_answers
+                                      + np.diff(community.event_starts)
+                                      ).tolist())
     except ValueError as exc:
         raise InputError(path, str(exc)) from None
 
@@ -313,10 +321,15 @@ def estimate_crp_alpha(trajectories: Sequence[QuestionTrajectory]) -> float:
     Solves sum_q J_q = sum_q sum_{k=0}^{n_q-1} alpha/(alpha+k) by
     bisection; J_q counts answers, n_q counts answers plus votes.
     """
-    if not trajectories:
+    return _crp_alpha([len(t.answers) for t in trajectories],
+                      [len(t.answers) + len(t.events) for t in trajectories])
+
+
+def _crp_alpha(n_answers: Sequence[int], n_events: Sequence[int]) -> float:
+    """`estimate_crp_alpha` from each question's answer count and its
+    answer-plus-vote count."""
+    if not n_answers:
         raise ValueError("need at least one trajectory")
-    n_answers = [len(t.answers) for t in trajectories]
-    n_events = [len(t.answers) + len(t.events) for t in trajectories]
     if all(n == 1 for n in n_events):
         raise ValueError("alpha is unidentifiable: every question has a "
                          "single event")

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .configio import parse_typed
-from .model import (CommunityModel, EncodedEvents, Event, ParameterIndex,
-                    curvature_bound_product, objective_and_grad)
+from .model import (CommunityModel, EncodedEvents, Event, EventColumns,
+                    ParameterIndex, curvature_bound_product,
+                    objective_and_grad)
 from .simulate import toy_scenario
-from .trajectory import QuestionTrajectory, drop_first_votes, \
-    with_contexts
+from .trajectory import Community, QuestionTrajectory, as_community
 
 log = logging.getLogger(__name__)
 
@@ -86,18 +86,22 @@ def _polish(fun, data: EncodedEvents, x: np.ndarray, config: FitConfig,
     return x, total_iters
 
 
+def _select_events(community: Community, drop_first: bool,
+                   tick: Optional[int] = None) -> EventColumns:
+    """The community's votes up to time index `tick` (all without one),
+    each answer's first vote dropped if `drop_first`, in row order."""
+    keep = np.ones(len(community.sign), dtype=bool) if tick is None \
+        else community.time_index <= tick
+    if drop_first:
+        keep &= ~community.first_vote
+    return EventColumns(community, np.flatnonzero(keep))
+
+
 def training_events(trajs: Iterable[QuestionTrajectory],
-                    drop_first: bool = True) -> list[Event]:
-    """Flatten trajectories into ((qid, aid), v, ctx) training triples."""
-    events: list[Event] = []
-    for traj in map(with_contexts, trajs):
-        if drop_first:
-            traj = drop_first_votes(traj)
-        for ev in traj.events:
-            aid = traj.answers[ev.answer_index].answer_id
-            v = 1 if ev.sign > 0 else 0
-            events.append(((traj.question_id, aid), v, ev.context))
-    return events
+                    drop_first: bool = True) -> Sequence[Event]:
+    """The ((qid, aid), v, ctx) training triples of the trajectories, in
+    order, as rows of their Community."""
+    return _select_events(as_community(trajs), drop_first)
 
 
 def fit_events(events: Sequence[Event], config: FitConfig,
@@ -106,8 +110,12 @@ def fit_events(events: Sequence[Event], config: FitConfig,
     """Fit a CommunityModel to pre-extracted training events."""
     if not events:
         raise NoTrainingEventsError("zero training events")
-    q_keys = [ids for ids, _, _ in events]
-    nu_keys = [qid for (qid, _), _, _ in events] if config.use_length else []
+    if isinstance(events, EventColumns):
+        q_keys, questions = events.q_keys, events.question_ids
+    else:
+        q_keys = [ids for ids, _, _ in events]
+        questions = [qid for (qid, _), _, _ in events]
+    nu_keys = questions if config.use_length else []
     index = ParameterIndex(q_keys, nu_keys, freeze_beta=config.freeze_beta)
     data = EncodedEvents(index, events)
 
@@ -179,16 +187,12 @@ def fit_prefixes(trajectories: Iterable[QuestionTrajectory],
     """
     if list(prefix_ticks) != sorted(prefix_ticks):
         raise ValueError("prefix_ticks must be ascending")
-    trajs = [with_contexts(t) for t in trajectories]
+    community = as_community(trajectories)
     out = []
     for tick in prefix_ticks:
-        truncated = [
-            dc_replace(t, events=tuple(ev for ev in t.events
-                                       if ev.time_index <= tick))
-            for t in trajs
-        ]
-        events = training_events(truncated,
-                                 drop_first=config.drop_first_votes)
+        # time indices ascend within a question, so an answer's first
+        # vote in the prefix is its first vote overall
+        events = _select_events(community, config.drop_first_votes, tick)
         if not events:
             log.warning("prefix tick %d has no training events; skipped",
                         tick)

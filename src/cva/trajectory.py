@@ -5,15 +5,21 @@ vote events. Every event can be annotated with the context a voter saw at
 that instant: the answer's displayed rank, its perceived positive-vote
 ratio, and its length relative to the answers coexisting at that moment.
 Context reconstruction is deterministic and uses strictly earlier events
-only, so replaying it is idempotent.
+only, so replaying it is idempotent. A `Community` holds a whole
+community's votes and contexts as columns, which every stage reads.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 REL_LENGTH_CLIP = 3.0
 NEUTRAL_POS_RATIO = 0.5  # ratio before an answer has received any vote
@@ -66,16 +72,17 @@ class QuestionTrajectory:
 
 
 def _replay(question_id: str, answers: tuple[Answer, ...],
-            raw_events: Iterable[tuple[int, int, int]]
-            ) -> tuple[VoteEvent, ...]:
-    """Validate one question and build its events, each with its context.
+            raw_events: Iterable[tuple[int, int, int]], cols: "_Columns"
+            ) -> int:
+    """Validate one question and append each of its votes, with the
+    context the voter saw, to `cols`; return the number of votes.
 
     `raw_events` yields (answer_index, sign, timestamp) in chronological
-    order; time indices are assigned 1, 2, ... here. One replay carries
-    the vote counts, the prefix of answers that exist at the current
-    timestamp (answers are ordered by creation_time, events by timestamp)
-    and that prefix's log-length sum from vote to vote, so no vote
-    re-sorts the answers. Contexts use strictly earlier events only.
+    order. One replay carries the vote counts, the prefix of answers that
+    exist at the current timestamp (answers are ordered by creation_time,
+    events by timestamp) and that prefix's log-length sum from vote to
+    vote, so no vote re-sorts the answers. Contexts use strictly earlier
+    events only.
     """
     n_accepted = sum(1 for a in answers if a.accepted)
     if n_accepted > 1:
@@ -105,7 +112,12 @@ def _replay(question_id: str, answers: tuple[Answer, ...],
     n_existing = 0      # answers[:n_existing] exist at the current vote
     ll_sum = 0.0        # their log-length sum, accumulated in index order
     prev_ts = None
-    events = []
+    add_answer, add_sign, add_ts = (cols.answer_index.append,
+                                    cols.sign.append, cols.timestamp.append)
+    add_rank, add_ratio, add_len = (cols.rank.append, cols.pos_ratio.append,
+                                    cols.rel_length.append)
+    add_pos, add_neg = cols.prior_pos.append, cols.prior_neg.append
+    k = 0
     for k, (j, sign, ts) in enumerate(raw_events, 1):
         if sign not in (+1, -1):
             raise MalformedTrajectoryError(
@@ -142,7 +154,6 @@ def _replay(question_id: str, answers: tuple[Answer, ...],
                 and (diff[acc] > dj or (diff[acc] == dj and acc < j)):
             rank -= 1
 
-        # positional arguments: this loop builds every context of a load
         n_pos, n_neg = pos[j], neg[j]
         ratio = n_pos / (n_pos + n_neg) if n_pos + n_neg \
             else NEUTRAL_POS_RATIO
@@ -151,15 +162,182 @@ def _replay(question_id: str, answers: tuple[Answer, ...],
             rel_len = REL_LENGTH_CLIP
         elif rel_len < -REL_LENGTH_CLIP:
             rel_len = -REL_LENGTH_CLIP
-        events.append(VoteEvent(j, k, sign, ts,
-                                VoteContext(rank, ratio, rel_len, n_pos,
-                                            n_neg)))
+        add_answer(j)
+        add_sign(sign)
+        add_ts(ts)
+        add_rank(rank)
+        add_ratio(ratio)
+        add_len(rel_len)
+        add_pos(n_pos)
+        add_neg(n_neg)
         if sign > 0:
             pos[j] = n_pos + 1
         else:
             neg[j] = n_neg + 1
         diff[j] = dj + sign
-    return tuple(events)
+    return k
+
+
+class _Columns:
+    """Column lists a community is built from, question by question."""
+
+    def __init__(self):
+        self.question_ids: list[str] = []
+        self.answers: list[tuple[Answer, ...]] = []
+        self.n_events: list[int] = []
+        # per-vote columns as raw 64-bit values, which numpy then wraps
+        self.answer_index = array("q")
+        self.sign = array("q")
+        self.timestamp = array("q")
+        self.time_index = array("q")
+        self.rank = array("q")
+        self.pos_ratio = array("d")
+        self.rel_length = array("d")
+        self.prior_pos = array("q")
+        self.prior_neg = array("q")
+
+    def replay(self, question_id: str, answers: tuple[Answer, ...],
+               raw_events: Iterable[tuple[int, int, int]]) -> None:
+        """Append one question, validated and replayed by `_replay`."""
+        try:
+            n = _replay(question_id, answers, raw_events, self)
+        except OverflowError:  # the one column not bounded by the replay
+            raise MalformedTrajectoryError(
+                f"{question_id}: timestamp outside the 64-bit range"
+            ) from None
+        self.question_ids.append(question_id)
+        self.answers.append(answers)
+        self.n_events.append(n)
+        self.time_index.extend(range(1, n + 1))
+
+    def reconstruct(self, traj: QuestionTrajectory) -> None:
+        """Append one question, replayed from its events' answer indices,
+        signs and timestamps."""
+        for pos, ev in enumerate(traj.events):
+            if ev.time_index != pos + 1:
+                raise MalformedTrajectoryError(
+                    f"{traj.question_id}: time_index not contiguous from 1")
+        self.replay(traj.question_id, traj.answers,
+                    ((ev.answer_index, ev.sign, ev.timestamp)
+                     for ev in traj.events))
+
+    def add(self, traj: QuestionTrajectory) -> None:
+        """Append one question whose events all carry their context."""
+        for ev in traj.events:
+            ctx = ev.context
+            self.answer_index.append(ev.answer_index)
+            self.sign.append(ev.sign)
+            self.timestamp.append(ev.timestamp)
+            self.time_index.append(ev.time_index)
+            self.rank.append(ctx.rank)
+            self.pos_ratio.append(ctx.pos_ratio)
+            self.rel_length.append(ctx.rel_length)
+            self.prior_pos.append(ctx.prior_pos)
+            self.prior_neg.append(ctx.prior_neg)
+        self.question_ids.append(traj.question_id)
+        self.answers.append(traj.answers)
+        self.n_events.append(len(traj.events))
+
+    def community(self) -> "Community":
+        ints = {name: np.frombuffer(getattr(self, name), dtype=np.int64)
+                for name in ("answer_index", "sign", "timestamp",
+                             "time_index", "rank", "prior_pos", "prior_neg")}
+        floats = {name: np.frombuffer(getattr(self, name), dtype=float)
+                  for name in ("pos_ratio", "rel_length")}
+        return Community(tuple(self.question_ids), tuple(self.answers),
+                         np.array(self.n_events, dtype=np.int64),
+                         **ints, **floats)
+
+
+class Community(Sequence[QuestionTrajectory]):
+    """A community's questions and answers plus one row per vote.
+
+    Rows run question by question, each question's votes in
+    chronological order. Per-vote columns (read-only numpy arrays):
+    `question` (index into `question_ids`), `answer_index`, `sign`,
+    `timestamp`, `time_index`, the context the voter saw (`rank`,
+    `pos_ratio`, `rel_length`, `prior_pos`, `prior_neg`), `answer_slot`
+    and `first_vote`, true on each answer's chronologically first vote.
+    Answer slots number the community's answers question by question in
+    answer order; `answer_keys[slot]` is (question_id, answer_id).
+
+    It is also a read-only sequence of QuestionTrajectory, each built on
+    access with every event's context.
+    """
+
+    def __init__(self, question_ids: tuple[str, ...],
+                 answers: tuple[tuple[Answer, ...], ...],
+                 n_events: np.ndarray, *, answer_index: np.ndarray,
+                 sign: np.ndarray, timestamp: np.ndarray,
+                 time_index: np.ndarray, rank: np.ndarray,
+                 pos_ratio: np.ndarray, rel_length: np.ndarray,
+                 prior_pos: np.ndarray, prior_neg: np.ndarray):
+        self.question_ids = question_ids
+        self.answers = answers
+        self.answer_keys = tuple((qid, a.answer_id)
+                                 for qid, ans in zip(question_ids, answers)
+                                 for a in ans)
+        self.n_answers = len(self.answer_keys)
+        self.event_starts = np.concatenate(([0], np.cumsum(n_events)))
+        answer_starts = np.cumsum([0] + [len(a) for a in answers])
+        self.question = np.repeat(np.arange(len(question_ids)), n_events)
+        self.answer_index = answer_index
+        self.sign = sign
+        self.timestamp = timestamp
+        self.time_index = time_index
+        self.rank = rank
+        self.pos_ratio = pos_ratio
+        self.rel_length = rel_length
+        self.prior_pos = prior_pos
+        self.prior_neg = prior_neg
+        self.answer_slot = answer_starts[self.question] + answer_index
+        self.first_vote = np.zeros(len(sign), dtype=bool)
+        self.first_vote[np.unique(self.answer_slot, return_index=True)[1]] \
+            = True
+        for column in (self.event_starts, self.question, answer_index, sign,
+                       timestamp, time_index, rank, pos_ratio, rel_length,
+                       prior_pos, prior_neg, self.answer_slot,
+                       self.first_vote):
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.question_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        lo, hi = int(self.event_starts[i]), int(self.event_starts[i + 1])
+        rows = slice(lo, hi)
+        events = tuple(
+            VoteEvent(j, k, s, ts, VoteContext(r, p, rel, n_pos, n_neg))
+            for j, k, s, ts, r, p, rel, n_pos, n_neg in zip(
+                *(column[rows].tolist() for column in (
+                    self.answer_index, self.time_index, self.sign,
+                    self.timestamp, self.rank, self.pos_ratio,
+                    self.rel_length, self.prior_pos, self.prior_neg))))
+        return QuestionTrajectory(self.question_ids[i], self.answers[i],
+                                  events)
+
+    def final_rel_lengths(self) -> list[float]:
+        """`final_rel_lengths` of every answer, by answer slot."""
+        return [rel for ans in self.answers
+                for rel in _final_rel_length_values(ans)]
+
+
+def as_community(trajectories: Iterable[QuestionTrajectory]) -> Community:
+    """The columns every stage reads: a Community unchanged, otherwise
+    one built from the trajectories in order. A trajectory with an event
+    that lacks its context is replayed as `reconstruct_contexts` does."""
+    if isinstance(trajectories, Community):
+        return trajectories
+    cols = _Columns()
+    for traj in trajectories:
+        if any(ev.context is None for ev in traj.events):
+            cols.reconstruct(traj)
+        else:
+            cols.add(traj)
+    return cols.community()
 
 
 def reconstruct_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
@@ -168,21 +346,9 @@ def reconstruct_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
     Contexts are computed from strictly earlier events only, so running
     this twice yields bit-identical results.
     """
-    for pos, ev in enumerate(traj.events):
-        if ev.time_index != pos + 1:
-            raise MalformedTrajectoryError(
-                f"{traj.question_id}: time_index not contiguous from 1")
-    events = _replay(traj.question_id, traj.answers,
-                     ((ev.answer_index, ev.sign, ev.timestamp)
-                      for ev in traj.events))
-    return replace(traj, events=events)
-
-
-def with_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
-    """`traj`, replayed by `reconstruct_contexts` if an event lacks one."""
-    if any(ev.context is None for ev in traj.events):
-        return reconstruct_contexts(traj)
-    return traj
+    cols = _Columns()
+    cols.reconstruct(traj)
+    return cols.community()[0]
 
 
 def drop_first_votes(traj: QuestionTrajectory) -> QuestionTrajectory:
@@ -209,19 +375,23 @@ def final_vote_diffs(traj: QuestionTrajectory) -> dict[str, int]:
     return {a.answer_id: d for a, d in zip(traj.answers, diffs)}
 
 
+def _final_rel_length_values(answers: Sequence[Answer]) -> list[float]:
+    if not answers:
+        return []
+    log_len = [math.log(a.text_length) for a in answers]
+    mean_ll = sum(log_len) / len(log_len)
+    return [max(-REL_LENGTH_CLIP, min(REL_LENGTH_CLIP, ll - mean_ll))
+            for ll in log_len]
+
+
 def final_rel_lengths(traj: QuestionTrajectory) -> dict[str, float]:
     """End-of-trajectory relative length per answer_id.
 
     Centered log-length over all answers of the question, clipped the same
     way as event contexts.
     """
-    if not traj.answers:
-        return {}
-    log_len = [math.log(a.text_length) for a in traj.answers]
-    mean_ll = sum(log_len) / len(log_len)
-    return {a.answer_id: max(-REL_LENGTH_CLIP,
-                             min(REL_LENGTH_CLIP, ll - mean_ll))
-            for a, ll in zip(traj.answers, log_len)}
+    return {a.answer_id: rel for a, rel in
+            zip(traj.answers, _final_rel_length_values(traj.answers))}
 
 
 # --- JSONL wire format -------------------------------------------------
@@ -262,7 +432,10 @@ def trajectory_to_json_line(traj: QuestionTrajectory) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def trajectory_from_json(obj: dict) -> QuestionTrajectory:
+_RAW_EVENT = itemgetter("answer_index", "sign", "timestamp")
+
+
+def _replay_json(cols: _Columns, obj: dict) -> None:
     question_id = obj["question_id"]
     answers = tuple(
         Answer(
@@ -274,11 +447,13 @@ def trajectory_from_json(obj: dict) -> QuestionTrajectory:
         )
         for a in obj["answers"]
     )
-    events = _replay(question_id, answers,
-                     ((e["answer_index"], e["sign"], e["timestamp"])
-                      for e in obj["events"]))
-    return QuestionTrajectory(question_id=question_id, answers=answers,
-                              events=events)
+    cols.replay(question_id, answers, map(_RAW_EVENT, obj["events"]))
+
+
+def trajectory_from_json(obj: dict) -> QuestionTrajectory:
+    cols = _Columns()
+    _replay_json(cols, obj)
+    return cols.community()[0]
 
 
 def write_trajectories(trajs: Iterable[QuestionTrajectory], path) -> None:
@@ -288,9 +463,11 @@ def write_trajectories(trajs: Iterable[QuestionTrajectory], path) -> None:
             fh.write("\n")
 
 
-def iter_trajectories(path) -> Iterator[QuestionTrajectory]:
+def read_trajectories(path) -> Community:
+    """Read, validate and replay a trajectory JSONL into a Community."""
     # Undecodable bytes become lone surrogates, so the line that holds
     # them is the one reported.
+    cols = _Columns()
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -300,7 +477,7 @@ def iter_trajectories(path) -> Iterator[QuestionTrajectory]:
                 line = line.strip()
                 if not line:
                     continue
-                traj = trajectory_from_json(json.loads(line))
+                _replay_json(cols, json.loads(line))
             except UnicodeEncodeError as exc:
                 byte = ord(exc.object[exc.start]) - 0xDC00
                 reason = (f"not UTF-8: byte {byte:#04x} at column "
@@ -312,14 +489,15 @@ def iter_trajectories(path) -> Iterator[QuestionTrajectory]:
             except (ValueError, TypeError) as exc:
                 reason = str(exc)
             else:
-                first = first_line.setdefault(traj.question_id, lineno)
+                question_id = cols.question_ids[-1]
+                first = first_line.setdefault(question_id, lineno)
                 if first == lineno:
-                    yield traj
                     continue
-                reason = (f"duplicate question_id {traj.question_id!r} "
+                reason = (f"duplicate question_id {question_id!r} "
                           f"(first on line {first})")
             raise MalformedTrajectoryError(f"{path}:{lineno}: {reason}")
+    return cols.community()
 
 
-def read_trajectories(path) -> list[QuestionTrajectory]:
-    return list(iter_trajectories(path))
+def iter_trajectories(path) -> Iterator[QuestionTrajectory]:
+    return iter(read_trajectories(path))

@@ -5,6 +5,7 @@ import pytest
 
 from cva.cli import main
 from cva.model import load_model
+from cva.trajectory import VoteContext, VoteEvent
 from conftest import GOLDEN_DIR
 
 SIM_CFG = """\
@@ -302,6 +303,21 @@ class TestMalformedTrajectoryFile:
         assert "duplicate question_id 'q' (first on line 1)" in err
 
 
+@pytest.mark.parametrize("timestamp, reason", [
+    (2 ** 63, "q: timestamp outside the 64-bit range"),
+    (5.5, "'float' object cannot be interpreted as an integer"),
+])
+def test_vote_timestamp_must_be_a_64_bit_integer(tmp_path, capsys,
+                                                  timestamp, reason):
+    path = tmp_path / "t.jsonl"
+    bad = dict(GOOD_LINE, question_id="q", events=[
+        {"answer_index": 0, "timestamp": timestamp, "sign": 1}])
+    path.write_text(json.dumps(bad) + "\n")
+    code = run("fit", "--input", str(path), "--out", str(tmp_path / "m.json"))
+    assert code == 65
+    assert capsys.readouterr().err == f"cva: {path}:1: {reason}\n"
+
+
 class TestInputErrors:
     """A bad config, label file or a file without training votes ends the
     command with one `cva: path: reason` line, never a traceback."""
@@ -371,3 +387,158 @@ class TestInputErrors:
         assert code == 2
         assert err == f"cva: {path}: no training events\n"
         assert not (tmp_path / "m.json").exists()
+
+
+class TestNoPerVoteObjects:
+    """Commands that read a trajectory file work on its columns and build
+    no VoteEvent or VoteContext."""
+
+    def test_commands_construct_none(self, workspace, tmp_path,
+                                     monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} constructed")
+
+        monkeypatch.setattr(VoteEvent, "__init__", refuse)
+        monkeypatch.setattr(VoteContext, "__init__", refuse)
+        T, model = workspace / "T.jsonl", workspace / "model.json"
+        commands = [
+            ("fit", "--input", T, "--out", tmp_path / "m.json"),
+            ("fit", "--input", T, "--freeze-beta", "0",
+             "--out", tmp_path / "a.json"),
+            ("quality", "--model", model, "--input", T, "--mode", "mean",
+             "--out", tmp_path / "q.csv"),
+            ("quality", "--model", model, "--input", T, "--mode",
+             "per-time-sum", "--out", tmp_path / "qs.csv"),
+            ("profile", "--model", model, "--input", T,
+             "--out", tmp_path / "p.json"),
+            ("counterfactual", "--model", model, "--input", T,
+             "--out", tmp_path / "c.csv"),
+            ("evaluate", "--input", T, "--model", model,
+             "--ablation", workspace / "ablation.json",
+             "--labels", workspace / "truth.csv",
+             "--out", tmp_path / "r.json"),
+        ]
+        for argv in commands:
+            assert run(*map(str, argv)) == 0, argv[0]
+
+
+MODEL_KEYS = {"q": {}, "lambda": 1.0, "nu": {}, "beta": 0.0,
+              "l2_weight": 1.0}
+
+
+class TestModelAndProfileFiles:
+    """A model or profile file that cannot be used ends the command with
+    exit 65 and one `cva: path: reason` line."""
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"lambda": 1}', "missing key 'q'"),
+        ("not a model", "1: invalid JSON: Expecting value at column 1"),
+        ("{\n  \"q\": {}\n", "3: invalid JSON: Expecting ',' delimiter"),
+        ("[1,2]", "expected a JSON object, got array"),
+        (json.dumps(dict(MODEL_KEYS, beta="2")),
+         "beta: expected a number"),
+        (json.dumps(dict(MODEL_KEYS, q={"q": 1.0})),
+         "q: expected an object of objects of numbers"),
+    ], ids=["missing_key", "not_json", "truncated", "array", "mistyped",
+            "nested"])
+    def test_bad_model(self, workspace, tmp_path, capsys, text, reason):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code = run("quality", "--model", str(path),
+                   "--input", str(workspace / "T.jsonl"),
+                   "--out", str(tmp_path / "q.csv"))
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err.startswith(f"cva: {path}:{reason}" if reason[0].isdigit()
+                              else f"cva: {path}: {reason}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "q.csv").exists()
+
+    def test_model_not_utf8(self, workspace, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"q": {}, "lambda": "\xff"}\n')
+        code = run("profile", "--model", str(path),
+                   "--input", str(workspace / "T.jsonl"),
+                   "--out", str(tmp_path / "p.json"))
+        assert code == 65
+        assert capsys.readouterr().err == \
+            f"cva: {path}:1: not UTF-8: byte 0xff at column 22\n"
+
+    def test_profile_not_json(self, workspace, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        assert run("profile", "--model", str(workspace / "model.json"),
+                   "--input", str(workspace / "T.jsonl"),
+                   "--out", str(good)) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text("community: c1\n")
+        capsys.readouterr()
+        code = run("map", "--profiles", str(good), str(bad),
+                   "--out", str(tmp_path / "map.csv"))
+        assert code == 65
+        assert capsys.readouterr().err == \
+            f"cva: {bad}:1: invalid JSON: Expecting value at column 1\n"
+
+    def test_profile_missing_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"community": "c1", "herding_degree": 1.0}\n')
+        code = run("map", "--profiles", str(bad),
+                   "--out", str(tmp_path / "map.csv"))
+        assert code == 65
+        assert capsys.readouterr().err == \
+            f"cva: {bad}: missing key 'position_sensitivity'\n"
+
+
+@pytest.mark.parametrize("old, new, kind", [
+    ("uniform", "zipf:nan", "zipf"),
+    ("lognormal:6.0,0.5", "lognormal:6.0,inf", "lognormal"),
+    ("lognormal:6.0,0.5", "lognormal:-inf,0.5", "lognormal"),
+])
+def test_sim_source_numbers_must_be_finite(tmp_path, capsys, old, new, kind):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CFG.replace(old, new))
+    code = run("simulate", "--config", str(cfg),
+               "--out", str(tmp_path / "T.jsonl"),
+               "--truth", str(tmp_path / "truth.csv"))
+    assert code == 65
+    assert capsys.readouterr().err == \
+        f"cva: {cfg}: source '{kind}' needs finite numbers: '{new}'\n"
+
+
+class TestNotUtf8:
+    def test_labels(self, workspace, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"answer_id,score,source\nq\xff,0.5,x\n")
+        code = run("evaluate", "--input", str(workspace / "T.jsonl"),
+                   "--model", str(workspace / "model.json"),
+                   "--ablation", str(workspace / "ablation.json"),
+                   "--labels", str(labels), "--out", str(tmp_path / "r.json"))
+        assert code == 65
+        assert capsys.readouterr().err == \
+            f"cva: {labels}:2: not UTF-8: byte 0xff at column 2\n"
+
+    def test_fit_config(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_bytes(b"\xff\xfel2_weight = 1\n")
+        code = run("fit", "--input", str(workspace / "T.jsonl"),
+                   "--config", str(cfg), "--out", str(tmp_path / "m.json"))
+        assert code == 65
+        assert capsys.readouterr().err == \
+            f"cva: {cfg}:1: not UTF-8: byte 0xff at column 1\n"
+        assert not (tmp_path / "m.json").exists()
+
+
+class TestEvaluateWithoutRankableQuestions:
+    @pytest.mark.parametrize("rows", ["nope,0.5,synthetic_truth\n", ""],
+                             ids=["unknown_answer", "header_only"])
+    def test_exit_2(self, workspace, tmp_path, capsys, rows):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("answer_id,score,source\n" + rows)
+        code = run("evaluate", "--input", str(workspace / "T.jsonl"),
+                   "--model", str(workspace / "model.json"),
+                   "--ablation", str(workspace / "ablation.json"),
+                   "--labels", str(labels), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"cva: {labels}: no questions with at least two scored "
+            "answers\n")
+        assert not (tmp_path / "r.json").exists()

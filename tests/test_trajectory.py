@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cva.trajectory import (Answer, MalformedTrajectoryError,
-                            QuestionTrajectory, VoteEvent, drop_first_votes,
-                            final_rel_lengths, final_vote_diffs,
-                            read_trajectories, reconstruct_contexts,
-                            trajectory_from_json, trajectory_to_json_line,
-                            write_trajectories)
+from cva.trajectory import (Answer, Community, MalformedTrajectoryError,
+                            QuestionTrajectory, VoteEvent, as_community,
+                            drop_first_votes, final_rel_lengths,
+                            final_vote_diffs, read_trajectories,
+                            reconstruct_contexts, trajectory_from_json,
+                            trajectory_to_json_line, write_trajectories)
 from conftest import oracle_rank, random_trajectory, reference_contexts
 
 
@@ -370,3 +370,73 @@ def test_final_rel_lengths_mean_zero(rng):
             assert np.isclose(sum(rels.values()), 0.0, atol=1e-9)
         for v in rels.values():
             assert -3.0 <= v <= 3.0
+
+
+COLUMNS = ("event_starts", "question", "answer_index", "sign", "timestamp",
+           "time_index", "rank", "pos_ratio", "rel_length", "prior_pos",
+           "prior_neg", "answer_slot", "first_vote")
+
+
+def assert_same_columns(got: Community, want: Community):
+    assert got.question_ids == want.question_ids
+    assert got.answers == want.answers
+    assert got.answer_keys == want.answer_keys
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestCommunityColumns:
+    """The columns read from a file equal those built in memory, by a
+    replay or from the reference contexts."""
+
+    def test_read_matches_in_memory(self, rng, tmp_path):
+        trajs = [interleaved_trajectory(rng, question_id=f"q{i}")
+                 for i in range(200)]
+        trajs += [random_trajectory(rng, question_id=f"r{i}")
+                  for i in range(50)]
+        path = tmp_path / "t.jsonl"
+        write_trajectories(trajs, path)
+        got = read_trajectories(path)
+        assert isinstance(got, Community)
+        assert_same_columns(got, as_community(trajs))
+        assert_same_columns(got, as_community(
+            [reference_contexts(t) for t in trajs]))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(trajectories())
+    def test_property_columns(self, traj):
+        line = json.loads(trajectory_to_json_line(traj))
+        replayed = as_community([traj])
+        assert_same_columns(replayed,
+                            as_community([reference_contexts(traj)]))
+        assert_same_columns(replayed,
+                            as_community([trajectory_from_json(line)]))
+
+    def test_first_vote_mask_drops_first_votes(self, rng):
+        trajs = [interleaved_trajectory(rng, question_id=f"q{i}")
+                 for i in range(100)]
+        community = as_community(trajs)
+        for i, traj in enumerate(community):
+            rows = slice(community.event_starts[i],
+                         community.event_starts[i + 1])
+            kept = [ev for ev, first in zip(traj.events,
+                                            community.first_vote[rows])
+                    if not first]
+            assert tuple(kept) == drop_first_votes(traj).events
+
+    def test_sequence_of_trajectories(self, rng):
+        trajs = [interleaved_trajectory(rng, question_id=f"q{i}")
+                 for i in range(20)]
+        community = as_community(trajs)
+        assert as_community(community) is community
+        assert len(community) == 20
+        for got, traj in zip(community, trajs):
+            assert_bit_identical(got, reference_contexts(traj))
+        assert community[-1].question_id == "q19"
+        assert [t.question_id for t in community[2:5]] == ["q2", "q3", "q4"]
+        with pytest.raises(IndexError):
+            community[20]
+        with pytest.raises(ValueError):
+            community.sign[0] = 1  # columns are read-only
