@@ -15,8 +15,8 @@ from .counterfactual import ContextPopulation, CurveResult, PowerLawFit, \
 from .evaluation import EvaluationReport, RankingSet, evaluate_rankers, \
     kendall_tau, paired_significance, rank_answers, rank_zscores, \
     residual_to_diagonal, winrates
-from .ingest import FilterReport, ParsedQuestion, QualityLabel, RawVoteRow, \
-    RejectLog, apply_filters, load_labels, parse_dump
+from .ingest import FilterReport, ParsedQuestion, QualityLabel, RejectLog, \
+    apply_filters, load_labels, parse_dump
 from .model import CommunityModel, load_model, model_from_json, \
     model_to_json, nll_and_grad, save_model, vote_prob
 from .simulate import SimConfig, estimate_crp_alpha, generate, \
@@ -35,7 +35,7 @@ __all__ = [
     "ContextPopulation", "CurveResult", "EvaluationReport", "FilterReport",
     "FitConfig", "MalformedTrajectoryError", "ParsedQuestion",
     "PowerLawFit", "QualityLabel", "QuestionTrajectory", "RankingSet",
-    "RawVoteRow", "RejectLog", "SimConfig", "VoteContext", "VoteEvent",
+    "RejectLog", "SimConfig", "VoteContext", "VoteEvent",
     "apply_filters", "as_community", "build_population",
     "counterfactual_curve", "drop_first_votes",
     "estimate_crp_alpha", "estimate_quality", "evaluate_rankers",

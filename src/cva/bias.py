@@ -10,6 +10,7 @@ of 1 means prior votes carry no pull either way.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -19,6 +20,13 @@ import numpy as np
 from .configio import check_json_object, is_number, read_json
 from .model import CommunityModel, vote_probs
 from .trajectory import QuestionTrajectory, as_community
+
+log = logging.getLogger(__name__)
+
+
+class NoEventsToScoreError(ValueError):
+    """No vote is left to score: none after the first votes are dropped,
+    or none on an answer the model has."""
 
 
 @dataclass
@@ -33,14 +41,27 @@ class BiasProfile:
 def _herding(model: CommunityModel,
              trajectories: Iterable[QuestionTrajectory],
              drop_first: bool) -> tuple[float, int]:
-    """(herding degree, number of scored votes) from one walk."""
+    """(herding degree, number of scored votes) from one walk.
+
+    Votes on answers the model lacks are skipped, as `estimate_quality`
+    skips those answers, with one warning that counts them.
+    """
     c = as_community(trajectories)
     rows = np.flatnonzero(~c.first_vote) if drop_first \
         else np.arange(len(c.sign))
-    if not len(rows):
-        raise ValueError("no events to score")
     slots = c.answer_slot[rows]
     used = np.unique(slots)
+    modelled = np.array([model.has_answer(*c.answer_keys[s])
+                         for s in used.tolist()], dtype=bool)
+    if not modelled.all():
+        skipped = used[~modelled]
+        keep = np.isin(slots, skipped, invert=True)
+        log.warning("%d answers not in model, their %d votes skipped "
+                    "(first: %s/%s)", len(skipped), len(rows) - keep.sum(),
+                    *c.answer_keys[skipped[0]])
+        rows, slots, used = rows[keep], slots[keep], used[modelled]
+    if not len(rows):
+        raise NoEventsToScoreError("no events to score")
     slot_q = np.zeros(c.n_answers)
     slot_q[used] = [model.quality(*c.answer_keys[s]) for s in used.tolist()]
     question_nu = np.asarray([model.nu_for(qid) for qid in c.question_ids],

@@ -5,8 +5,8 @@ counterfactual queries and evaluation into reproducible runs. All outputs
 are plain JSON/JSONL/CSV, every seeded command is bit-reproducible, and
 exit codes follow the sysexits convention (64 usage, 65 malformed input
 file, 66 unreadable input) plus 2 for a community rejected as too small,
-left without training events or without a question to evaluate, and 3
-for a fit that did not converge.
+left without training events, without votes to score or without a
+question to evaluate, and 3 for a fit that did not converge.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .bias import load_profile, map_coordinates, profile_community, \
-    save_profile
+from .bias import NoEventsToScoreError, load_profile, map_coordinates, \
+    profile_community, save_profile
 from .configio import InputError
 from .counterfactual import MOODS, build_population, counterfactual_curve, \
     estimate_quality, fit_power_law
@@ -159,7 +159,11 @@ def _cmd_profile(args) -> int:
     model = load_model(args.model)
     trajs = read_trajectories(args.input)
     community = args.community or Path(args.input).stem
-    profile = profile_community(model, trajs, community=community)
+    try:
+        profile = profile_community(model, trajs, community=community)
+    except NoEventsToScoreError:
+        print(f"cva: {args.input}: no votes to score", file=sys.stderr)
+        return EX_COMMUNITY_TOO_SMALL
     save_profile(profile, args.out)
     print(f"position_sensitivity: {profile.position_sensitivity:.6f}")
     print(f"herding_degree: {profile.herding_degree:.6f}")

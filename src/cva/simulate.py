@@ -62,10 +62,16 @@ class SimConfig:
                                  f"'auto', got {self.crp_alpha!r}")
         elif self.crp_alpha <= 0:
             raise ValueError("crp_alpha must be > 0")
-        kinds = {_parse_source(self.length_source,
-                               ("lognormal", "empirical"))[0],
-                 _parse_source(self.question_weight_source,
-                               ("uniform", "zipf", "empirical"))[0]}
+        length_kind, _ = _parse_source(self.length_source,
+                                       ("lognormal", "empirical"))
+        weight_kind, weight_arg = _parse_source(
+            self.question_weight_source, ("uniform", "zipf", "empirical"))
+        if weight_kind == "zipf" and not np.isfinite(
+                _zipf_weights(float(weight_arg), self.n_questions).sum()):
+            raise ValueError(f"source 'zipf' weights overflow for "
+                             f"{self.n_questions} questions: "
+                             f"{self.question_weight_source!r}")
+        kinds = {length_kind, weight_kind}
         if self.crp_alpha == "auto" and "empirical" not in kinds:
             raise ValueError("crp_alpha='auto' needs an empirical data "
                              "source")
@@ -124,7 +130,18 @@ def _parse_source(source: str, allowed: tuple[str, ...]
         if not all(map(math.isfinite, numbers)):
             raise ValueError(f"source {kind!r} needs finite numbers: "
                              f"{source!r}")
+        if kind == "lognormal" and numbers[1] < 0:
+            raise ValueError(f"source 'lognormal' needs SIGMA >= 0: "
+                             f"{source!r}")
     return kind, arg
+
+
+def _zipf_weights(s: float, n_questions: int) -> np.ndarray:
+    """Unnormalised weights 1/k**s of questions k = 1..n_questions. A
+    weight may underflow to 0; one that overflows is inf, which
+    `SimConfig.validate` rejects."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return 1.0 / np.arange(1, n_questions + 1) ** s
 
 
 def crp_new_answer(rng: np.random.Generator, n_prior: int,
@@ -208,8 +225,7 @@ def _question_weights(source: str, n_questions: int,
     if kind == "uniform":
         weights = np.ones(n_questions)
     elif kind == "zipf":
-        s = float(arg)
-        weights = 1.0 / np.arange(1, n_questions + 1) ** s
+        weights = _zipf_weights(float(arg), n_questions)
     else:
         community = read_trajectories(arg)
         counts = np.asarray([len(a) for a in community.answers],

@@ -1,10 +1,11 @@
+import logging
 import math
 
 import pytest
 
-from cva.bias import (BiasProfile, herding_degree, load_profile,
-                      map_coordinates, profile_community, profile_to_json,
-                      save_profile)
+from cva.bias import (BiasProfile, NoEventsToScoreError, herding_degree,
+                      load_profile, map_coordinates, profile_community,
+                      profile_to_json, save_profile)
 from cva.model import CommunityModel, event_prob
 from cva.simulate import SimConfig, generate
 from cva.trainer import FitConfig, fit
@@ -98,6 +99,36 @@ class TestHerdingDegree:
         model = CommunityModel()
         with pytest.raises(ValueError):
             herding_degree(model, [])
+
+    def test_votes_on_unmodelled_answers_skipped(self, caplog):
+        # the model lacks answer q-b and question r: their votes are
+        # skipped, and q-a's votes score as they would alone
+        model = CommunityModel(q={"q": {"q-a": LOG4}}, nu={"q": 0.0})
+        on_a = [(ctx(1, 0, ratio=0.0), +1), (ctx(0, 1, ratio=0.2), -1),
+                (ctx(2, 1, ratio=0.7), +1)]
+        on_b = [(ctx(0, 0), +1), (ctx(1, 0, ratio=0.4), -1)]
+        events = tuple(
+            VoteEvent(i, k + 1, sign, 100 + k, context=c)
+            for k, (i, (c, sign)) in enumerate(
+                [(0, on_a[0]), (1, on_b[0]), (0, on_a[1]), (1, on_b[1]),
+                 (0, on_a[2])]))
+        mixed = QuestionTrajectory(
+            "q", (Answer("q-a", creation_time=0, text_length=100),
+                  Answer("q-b", creation_time=1, text_length=100)), events)
+        other = traj_with_context_events(on_b, question_id="r")
+        alone = traj_with_context_events(on_a)
+        with caplog.at_level(logging.WARNING, logger="cva.bias"):
+            got = herding_degree(model, [mixed, other], drop_first=False)
+        assert got == herding_degree(model, [alone], drop_first=False)
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 answers not in model, their 4 votes skipped (first: q/q-b)"]
+        assert profile_community(model, [mixed, other]).n_events == \
+            profile_community(model, [alone]).n_events == 2
+
+    def test_no_modelled_answer_error(self):
+        traj = traj_with_context_events([(ctx(0, 0), +1)])
+        with pytest.raises(NoEventsToScoreError):
+            herding_degree(CommunityModel(), [traj], drop_first=False)
 
     def test_uses_first_vote_dropped_set_by_default(self):
         model = CommunityModel(q={"q": {"q-a": LOG4}}, nu={"q": 0.0})

@@ -74,6 +74,33 @@ class TestIngest:
         assert code == 2
         assert out.exists()  # explicit status, not silent empty output
 
+    def test_row_not_utf8_rejected(self, tmp_path, capsys):
+        # a byte 0xff inside the bookmark vote on line 8 rejects that row
+        # alone; the rest of the dump ingests as before
+        for name in ("Posts.xml", "PostHistory.xml"):
+            (tmp_path / name).write_bytes((GOLDEN_DIR / name).read_bytes())
+        votes = (GOLDEN_DIR / "Votes.xml").read_bytes().splitlines(True)
+        assert b'Id="120"' in votes[7]
+        votes[7] = votes[7].replace(b'VoteTypeId="16"',
+                                    b'VoteTypeId="1\xff6"')
+        (tmp_path / "Votes.xml").write_bytes(b"".join(votes))
+        column = votes[7].index(b"\xff") + 1
+        out, rejects = tmp_path / "out.jsonl", tmp_path / "rejects.txt"
+        code = run("ingest", "--posts", str(tmp_path / "Posts.xml"),
+                   "--votes", str(tmp_path / "Votes.xml"),
+                   "--posthistory", str(tmp_path / "PostHistory.xml"),
+                   "--out", str(out), "--min-questions", "1",
+                   "--reject-log", str(rejects))
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.read_bytes() == \
+            (GOLDEN_DIR / "expected.jsonl").read_bytes()
+        assert rejects.read_text().splitlines() == [
+            f"8\tvotes: not UTF-8: byte 0xff at column {column}",
+            "26\tvotes: missing VoteTypeId",
+            "7\tposthistory: malformed XML row (unclosed token: line 1, "
+            "column 0)"]
+
 
 class TestFit:
     def test_model_written(self, workspace):
@@ -187,6 +214,36 @@ class TestProfileAndMap:
                            "above_median_position"]
         assert rows[-1][0] == "MEDIAN"
         assert {r[0] for r in rows[1:-1]} == {"alpha", "beta"}
+
+    def test_votes_on_unmodelled_answers_skipped(self, workspace, tmp_path,
+                                                 capsys):
+        model = json.loads((workspace / "model.json").read_text())
+        trajs = [json.loads(line) for line in
+                 (workspace / "T.jsonl").read_text().splitlines()]
+        dropped = trajs[0]["question_id"]
+        del model["q"][dropped]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(model))
+        out = tmp_path / "p.json"
+        code = run("profile", "--model", str(path),
+                   "--input", str(workspace / "T.jsonl"), "--out", str(out))
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        # every vote but each answer's first, outside the dropped question
+        scored = sum(len(t["events"]) - len({e["answer_index"]
+                                             for e in t["events"]})
+                     for t in trajs if t["question_id"] != dropped)
+        assert json.loads(out.read_text())["n_events"] == scored
+
+    def test_no_modelled_answer_exit_2(self, workspace, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(MODEL_KEYS))
+        T = workspace / "T.jsonl"
+        code = run("profile", "--model", str(path), "--input", str(T),
+                   "--out", str(tmp_path / "p.json"))
+        assert code == 2
+        assert capsys.readouterr().err == f"cva: {T}: no votes to score\n"
+        assert not (tmp_path / "p.json").exists()
 
 
 class TestCounterfactual:
@@ -346,6 +403,11 @@ class TestInputErrors:
         (SIM_CFG + "crp_alpha = auto\n", "crp_alpha='auto' needs an"),
         (SIM_CFG.replace("lognormal:6.0,0.5", "lognormal:6.0"),
          "source 'lognormal' needs 2 number(s)"),
+        (SIM_CFG.replace("lognormal:6.0,0.5", "lognormal:6.0,-1"),
+         "source 'lognormal' needs SIGMA >= 0: 'lognormal:6.0,-1'\n"),
+        (SIM_CFG.replace("uniform", "zipf:-2000"),
+         "source 'zipf' weights overflow for 25 questions: "
+         "'zipf:-2000'\n"),
     ])
     def test_bad_sim_config(self, tmp_path, capsys, text, reason):
         cfg = tmp_path / "sim.cfg"

@@ -1,5 +1,9 @@
-import pytest
+import xml.etree.ElementTree as ET
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cva import ingest
 from cva.ingest import (RejectLog, apply_filters, load_labels, parse_dump)
 from cva.trajectory import (read_trajectories, reconstruct_contexts,
                             trajectory_to_json_line, write_trajectories)
@@ -108,6 +112,135 @@ class TestParseDump:
         assert len(rejects) == len(golden_rejects) + 1
         assert [r for n, r in rejects.entries
                 if n == 3 and r.startswith(f"{kind}: bad value")]
+
+
+def reference_rows(path, rejects, kind):
+    """The dump row reader built on `ET.fromstring` alone: what
+    `ingest._iter_rows` must yield and reject, line for line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(exc.object[exc.start]) - 0xDC00
+                rejects.add(lineno, f"{kind}: not UTF-8: byte {byte:#04x} "
+                                    f"at column {exc.start + 1}")
+                continue
+            stripped = line.strip()
+            if "<row" not in stripped:
+                continue
+            try:
+                elem = ET.fromstring(stripped)
+            except ET.ParseError as exc:
+                rejects.add(lineno, f"{kind}: malformed XML row ({exc})")
+                continue
+            if elem.tag != "row":
+                rejects.add(lineno, f"{kind}: unexpected element "
+                                    f"<{elem.tag}>")
+                continue
+            attrs = elem.attrib
+            try:
+                for name, convert in ingest._CONVERTERS[kind].items():
+                    if name in attrs:
+                        attrs[name] = convert(attrs[name])
+            except ValueError as exc:
+                rejects.add(lineno, f"{kind}: bad value ({exc})")
+                continue
+            yield lineno, attrs
+
+
+# Pieces of dump lines: well-formed rows, the XML that ElementTree reads
+# in its own way (entities, namespaces, nested markup) and what it
+# rejects. A lone surrogate is written as the undecodable byte 0xff.
+ROW_STARTS = ["<row", "<row", "<row", "  <row", "<rowx", "<p:row",
+              "<row xmlns='urn:r'", "<!DOCTYPE row><row", "<!-- c --><row",
+              "x<row", "<?pi x?><row", "<rows>", "<row\t"]
+ROW_ATTRS = [' Id="7"', ' Id="x"', " Id='8'", ' PostId="3"', ' PostId=""',
+             ' VoteTypeId="2"', ' VoteTypeId="1"', ' PostTypeId="2"',
+             ' ParentId="1"', ' AcceptedAnswerId="12"',
+             ' PostHistoryTypeId="10"',
+             ' CreationDate="2020-01-02T00:00:00.000"',
+             ' CreationDate="2020-01-02T00:00:00.000"',
+             ' CreationDate="2020-01-03"',
+             ' CreationDate="2020-01-02T00:00:00+02:00"',
+             ' CreationDate="2020-13-01"', ' CreationDate="yesterday"',
+             ' Body="&amp;&lt;p&gt;"', ' Body="&foo;"', ' Body="&#0;"',
+             ' Body="&#x41;&#66;"', ' Body="\u00e9\u4e2d"', ' Body="\x01"',
+             ' Body="\t\r"', ' Body="}"', ' Body="<"', ' Body=1',
+             ' Body="\udcff"', ' Id="1" Id="2"', ' xmlns="urn:x"',
+             ' xmlns:a="urn:a"', ' a:B="1"', ' xml:lang="en"', ' a:Id="4"',
+             " Body='\"'", ' ', '\t', ' =', ' ClosedDate="2020"']
+ROW_ENDS = ["/>", "/>", " />", ">", "></row>", "><![CDATA[x]]></row>",
+            "><a:b xmlns:a='urn:a'/></row>", "><row/></row>", "/><row/>",
+            "/><!-- c -->", "", "></rowx>", ">&foo;</row>", ">&amp;</row>",
+            "/>x"]
+
+WELL_FORMED_ATTRS = [
+    ' Id="7"', ' Id="x"', " Id='8'", ' Id="&#x31;&#50;"', ' PostId="3"',
+    ' PostId=""', ' VoteTypeId="2"', ' VoteTypeId="1"',
+    ' CreationDate="2020-01-02T00:00:00.000"', ' CreationDate="2020-01-03"',
+    ' CreationDate="2020-13-01"', ' Body="&amp;&lt;p&gt;"',
+    ' Body="\u00e9\u4e2d"', ' Body="}"', ' Body="\t a\r"',
+    ' xml:lang="en"', ' xmlns:a="urn:a"', ' a:B="1"', ' xmlns="urn:x"',
+    ' ClosedDate="2020"']
+
+row_line = st.builds(lambda start, attrs, end: start + "".join(attrs) + end,
+                     st.sampled_from(ROW_STARTS),
+                     st.lists(st.sampled_from(ROW_ATTRS), max_size=6),
+                     st.sampled_from(ROW_ENDS))
+# rows that expat accepts far more often, so both paths are exercised
+well_formed_row = st.builds(
+    lambda attrs, end: "<row" + "".join(attrs) + end,
+    st.lists(st.sampled_from(WELL_FORMED_ATTRS), max_size=6,
+             unique_by=lambda attr: attr.split("=")[0]),
+    st.sampled_from(["/>", " />", "></row>", "><x/></row>"]))
+dump_lines = st.lists(
+    row_line | well_formed_row
+    | st.sampled_from(["<votes>", "</votes>", "",
+                       '<?xml version="1.0" encoding="utf-8"?>']),
+    min_size=10, max_size=60)
+
+
+class TestRowParser:
+    """`_iter_rows` reads each row line the way ElementTree does."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(lines=dump_lines,
+           kind=st.sampled_from(["posts", "votes", "posthistory"]))
+    def test_same_rows_and_rejects_as_elementtree(self, tmp_path_factory,
+                                                  lines, kind):
+        path = tmp_path_factory.getbasetemp() / "rows.xml"
+        with open(path, "w", encoding="utf-8",
+                  errors="surrogateescape") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        rejects, expected_rejects = RejectLog(), RejectLog()
+        got = list(ingest._iter_rows(path, rejects, kind))
+        expected = list(reference_rows(path, expected_rejects, kind))
+        assert got == expected
+        assert [type(v) for _, attrs in got for v in attrs.values()] == \
+            [type(v) for _, attrs in expected for v in attrs.values()]
+        assert rejects.entries == expected_rejects.entries
+
+    def test_yields_one_item_per_accepted_row(self, tmp_path):
+        good = '<row Id="{}" PostId="3" VoteTypeId="2" ' \
+               'CreationDate="2020-01-0{}T00:00:00.000" />'
+        lines = ["<votes>"]
+        for i in range(1, 10):
+            lines.append(good.format(i, i % 3 + 1))
+            lines.append(['<row Id="1" Id="2" />', "<rowx />", "<row",
+                          '<row Id="x" />', '<row Id="1" A="\udcff" />',
+                          '<row CreationDate="2020-02-30" />'][i % 6])
+        lines.append("</votes>")
+        path = tmp_path / "Votes.xml"
+        with open(path, "w", encoding="utf-8",
+                  errors="surrogateescape") as fh:
+            fh.write("\n".join(lines) + "\n")
+        rejects = RejectLog()
+        rows = list(ingest._iter_rows(path, rejects, "votes"))
+        assert [lineno for lineno, _ in rows] == list(range(2, 20, 2))
+        assert [attrs["Id"] for _, attrs in rows] == list(range(1, 10))
+        assert [lineno for lineno, _ in rejects.entries] == \
+            list(range(3, 21, 2))
 
 
 class TestApplyFilters:
