@@ -56,9 +56,10 @@ def _herding(model: CommunityModel,
     if not modelled.all():
         skipped = used[~modelled]
         keep = np.isin(slots, skipped, invert=True)
-        log.warning("%d answers not in model, their %d votes skipped "
-                    "(first: %s/%s)", len(skipped), len(rows) - keep.sum(),
-                    *c.answer_keys[skipped[0]])
+        if keep.any():
+            log.warning("%d answers not in model, their %d votes skipped "
+                        "(first: %s/%s)", len(skipped),
+                        len(rows) - keep.sum(), *c.answer_keys[skipped[0]])
         rows, slots, used = rows[keep], slots[keep], used[modelled]
     if not len(rows):
         raise NoEventsToScoreError("no events to score")

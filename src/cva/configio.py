@@ -17,19 +17,28 @@ class InputError(ValueError):
         self.path = path
 
 
+def not_utf8(line: str) -> Optional[str]:
+    """Why `line`, read with errors="surrogateescape", is not UTF-8
+    ("not UTF-8: byte 0x.. at column N", its first undecodable byte);
+    None when it is."""
+    if line.isascii():
+        return None
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(exc.object[exc.start]) - 0xDC00
+        return f"not UTF-8: byte {byte:#04x} at column {exc.start + 1}"
+    return None
+
+
 def utf8_lines(path, fh: Iterable[str]) -> Iterator[str]:
     """The lines of `fh`, a text file opened with
     errors="surrogateescape"; InputError at the first line holding bytes
     that are not UTF-8."""
     for lineno, line in enumerate(fh, start=1):
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(exc.object[exc.start]) - 0xDC00
-                raise InputError(path, f"not UTF-8: byte {byte:#04x} at "
-                                       f"column {exc.start + 1}",
-                                 lineno) from None
+        reason = not_utf8(line)
+        if reason is not None:
+            raise InputError(path, reason, lineno)
         yield line
 
 

@@ -16,7 +16,6 @@ answer's creation; trajectory invariants then hold exactly.
 from __future__ import annotations
 
 import csv
-import functools
 import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 from xml.parsers import expat
 
-from .configio import InputError, utf8_lines
+from .configio import InputError, not_utf8, utf8_lines
 from .trajectory import Answer, QuestionTrajectory, VoteEvent
 
 log = logging.getLogger(__name__)
@@ -124,24 +123,15 @@ def _iter_rows(path, rejects: RejectLog, kind: str
     the reject log; wrapper lines (declaration, opening/closing list
     tags) are skipped silently.
     """
-    # Many rows share a date; a date that does not convert is not cached
-    # and rejects each of its rows.
-    parse_date = functools.lru_cache(maxsize=None)(_parse_date)
-    converters = [(name, parse_date if convert is _parse_date else convert)
-                  for name, convert in _CONVERTERS[kind].items()]
+    converters = _CONVERTERS[kind].items()
     # Undecodable bytes become lone surrogates, so the line that holds
     # them is the one reported.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    byte = ord(exc.object[exc.start]) - 0xDC00
-                    rejects.add(lineno, f"{kind}: not UTF-8: byte "
-                                        f"{byte:#04x} at column "
-                                        f"{exc.start + 1}")
-                    continue
+            reason = not_utf8(line)
+            if reason is not None:
+                rejects.add(lineno, f"{kind}: {reason}")
+                continue
             stripped = line.strip()
             if "<row" not in stripped:
                 continue

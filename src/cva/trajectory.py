@@ -21,6 +21,8 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from .configio import not_utf8
+
 REL_LENGTH_CLIP = 3.0
 NEUTRAL_POS_RATIO = 0.5  # ratio before an answer has received any vote
 
@@ -471,17 +473,14 @@ def read_trajectories(path) -> Community:
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            reason = not_utf8(line)
+            if reason is not None:
+                raise MalformedTrajectoryError(f"{path}:{lineno}: {reason}")
             try:
-                if not line.isascii():
-                    line.encode("utf-8")
                 line = line.strip()
                 if not line:
                     continue
                 _replay_json(cols, json.loads(line))
-            except UnicodeEncodeError as exc:
-                byte = ord(exc.object[exc.start]) - 0xDC00
-                reason = (f"not UTF-8: byte {byte:#04x} at column "
-                          f"{exc.start + 1}")
             except json.JSONDecodeError as exc:
                 reason = f"invalid JSON: {exc.msg} at column {exc.colno}"
             except KeyError as exc:

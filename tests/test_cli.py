@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cva
 from cva.cli import main
 from cva.model import load_model
 from cva.trajectory import VoteContext, VoteEvent
@@ -235,14 +240,19 @@ class TestProfileAndMap:
                      for t in trajs if t["question_id"] != dropped)
         assert json.loads(out.read_text())["n_events"] == scored
 
-    def test_no_modelled_answer_exit_2(self, workspace, tmp_path, capsys):
+    def test_no_modelled_answer_exit_2(self, workspace, tmp_path):
+        # A child process, so that stderr is what the command's own
+        # logging setup writes and not what pytest's log capture leaves.
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(MODEL_KEYS))
         T = workspace / "T.jsonl"
-        code = run("profile", "--model", str(path), "--input", str(T),
-                   "--out", str(tmp_path / "p.json"))
-        assert code == 2
-        assert capsys.readouterr().err == f"cva: {T}: no votes to score\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(cva.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cva.cli", "profile", "--model", str(path),
+             "--input", str(T), "--out", str(tmp_path / "p.json")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr == f"cva: {T}: no votes to score\n"
         assert not (tmp_path / "p.json").exists()
 
 
