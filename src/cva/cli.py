@@ -26,7 +26,8 @@ from .counterfactual import MOODS, build_population, counterfactual_curve, \
 from .evaluation import NoRankableQuestionsError, evaluate_rankers
 from .ingest import RejectLog, apply_filters, load_labels, parse_dump
 from .model import load_model, save_model
-from .simulate import generate, parse_sim_config, scale_truth
+from .simulate import LengthOverflowError, generate, parse_sim_config, \
+    scale_truth
 from .trainer import FitConfig, NoTrainingEventsError, TOY_TICKS, fit, \
     parse_fit_config, toy_quality_curves
 from .trajectory import MalformedTrajectoryError, read_trajectories, \
@@ -128,7 +129,10 @@ def _cmd_quality(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = parse_sim_config(args.config)
-    trajectories, truth = generate(config)
+    try:
+        trajectories, truth = generate(config)
+    except LengthOverflowError as exc:
+        raise InputError(args.config, str(exc)) from None
     write_trajectories(trajectories, args.out)
     scaled = scale_truth(truth)
     _write_csv(args.truth, ["answer_id", "score", "source"],

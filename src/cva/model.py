@@ -71,13 +71,6 @@ def vote_prob(model: CommunityModel, q: float, ctx, nu: float = 0.0) -> float:
                             model.beta, ctx.rank))
 
 
-def event_prob(model: CommunityModel, question_id: str, answer_id: str,
-               ctx) -> float:
-    """vote_prob with q and nu looked up from the model."""
-    return vote_prob(model, model.quality(question_id, answer_id), ctx,
-                     nu=model.nu_for(question_id))
-
-
 class ParameterIndex:
     """Canonical flat ordering of theta.
 

@@ -26,13 +26,19 @@ from scipy.special import expit
 from .configio import InputError, parse_typed
 from .trajectory import (Answer, QuestionTrajectory, VoteContext, VoteEvent,
                          NEUTRAL_POS_RATIO, REL_LENGTH_CLIP,
-                         read_trajectories, reconstruct_contexts)
+                         read_trajectories, reconstruct_contexts,
+                         sequential_sum)
 
 log = logging.getLogger(__name__)
 
 ALPHA_LO = 1e-6
 ALPHA_HI = 1e6
 _P_SUM_ATOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's tolerance
+
+
+class LengthOverflowError(ValueError):
+    """A lognormal length source drew a length that overflows a float;
+    only the draw shows it (mu + sigma * z past about 709.78)."""
 
 
 @dataclass(frozen=True)
@@ -202,7 +208,7 @@ class _QuestionState:
 
     def rel_length(self, j: int) -> float:
         logs = [math.log(a.text_length) for a in self.answers]
-        rel = logs[j] - sum(logs) / len(logs)
+        rel = logs[j] - sequential_sum(logs) / len(logs)
         return max(-REL_LENGTH_CLIP, min(REL_LENGTH_CLIP, rel))
 
 
@@ -210,7 +216,15 @@ def _length_sampler(source: str, rng: np.random.Generator):
     kind, arg = _parse_source(source, ("lognormal", "empirical"))
     if kind == "lognormal":
         mu, sigma = (float(x) for x in arg.split(","))
-        return lambda: max(1, round(rng.lognormal(mu, sigma)))
+
+        def draw() -> int:
+            length = rng.lognormal(mu, sigma)
+            if math.isinf(length):
+                raise LengthOverflowError(
+                    f"source 'lognormal' drew an infinite text length: "
+                    f"{source!r}")
+            return max(1, round(length))
+        return draw
     pool = np.asarray([a.text_length for answers in
                        read_trajectories(arg).answers for a in answers],
                       dtype=int)
@@ -352,8 +366,8 @@ def _crp_alpha(n_answers: Sequence[int], n_events: Sequence[int]) -> float:
     total_answers = float(sum(n_answers))
 
     def expected_answers(alpha: float) -> float:
-        return sum(float(np.sum(alpha / (alpha + np.arange(n))))
-                   for n in n_events)
+        return sequential_sum(float(np.sum(alpha / (alpha + np.arange(n))))
+                              for n in n_events)
 
     lo, hi = ALPHA_LO, ALPHA_HI
     if expected_answers(hi) <= total_answers:

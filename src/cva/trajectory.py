@@ -17,7 +17,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -377,11 +377,21 @@ def final_vote_diffs(traj: QuestionTrajectory) -> dict[str, int]:
     return {a.answer_id: d for a, d in zip(traj.answers, diffs)}
 
 
+def sequential_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, the order `_replay` accumulates log
+    lengths in. The built-in `sum` compensates rounding from Python 3.12
+    on, so its result can differ in the last bit."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _final_rel_length_values(answers: Sequence[Answer]) -> list[float]:
     if not answers:
         return []
     log_len = [math.log(a.text_length) for a in answers]
-    mean_ll = sum(log_len) / len(log_len)
+    mean_ll = sequential_sum(log_len) / len(log_len)
     return [max(-REL_LENGTH_CLIP, min(REL_LENGTH_CLIP, ll - mean_ll))
             for ll in log_len]
 
@@ -496,7 +506,3 @@ def read_trajectories(path) -> Community:
                           f"(first on line {first})")
             raise MalformedTrajectoryError(f"{path}:{lineno}: {reason}")
     return cols.community()
-
-
-def iter_trajectories(path) -> Iterator[QuestionTrajectory]:
-    return iter(read_trajectories(path))

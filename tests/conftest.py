@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cva.model import CommunityModel, vote_prob
 from cva.trajectory import (NEUTRAL_POS_RATIO, REL_LENGTH_CLIP, Answer,
                             QuestionTrajectory, VoteContext, VoteEvent)
 
@@ -98,7 +99,10 @@ def reference_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
                                              traj.answers[i].creation_time))
         rank = order.index(j) + 1
 
-        mean_ll = sum(log_len[i] for i in existing) / len(existing)
+        ll_sum = 0.0    # in index order, as the replay accumulates it
+        for i in existing:
+            ll_sum += log_len[i]
+        mean_ll = ll_sum / len(existing)
         rel_len = max(-REL_LENGTH_CLIP,
                       min(REL_LENGTH_CLIP, log_len[j] - mean_ll))
 
@@ -110,6 +114,13 @@ def reference_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
         else:
             neg[j] += 1
     return replace(traj, events=tuple(new_events))
+
+
+def event_prob(model: CommunityModel, question_id: str, answer_id: str,
+               ctx) -> float:
+    """vote_prob with q and nu looked up from the model."""
+    return vote_prob(model, model.quality(question_id, answer_id), ctx,
+                     nu=model.nu_for(question_id))
 
 
 @pytest.fixture

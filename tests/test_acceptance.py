@@ -13,12 +13,12 @@ import pytest
 from cva.counterfactual import counterfactual_curve, fit_power_law
 from cva.evaluation import evaluate_rankers, kendall_tau
 from cva.ingest import RejectLog, apply_filters, parse_dump
-from cva.model import CommunityModel, event_prob, objective_and_grad
+from cva.model import CommunityModel, objective_and_grad
 from cva.simulate import SimConfig, crp_new_answer, estimate_crp_alpha, \
     generate
 from cva.trainer import FitConfig, TOY_TICKS, fit, toy_quality_curves
 from cva.trajectory import write_trajectories, reconstruct_contexts
-from conftest import GOLDEN_DIR, oracle_rank, random_trajectory
+from conftest import GOLDEN_DIR, event_prob, oracle_rank, random_trajectory
 from test_bias import traj_with_context_events
 from test_evaluation import brute_force_tau_b
 from test_model import ctx as make_ctx, fd_gradient, random_instance

@@ -6,11 +6,12 @@ import pytest
 from cva.bias import (BiasProfile, NoEventsToScoreError, herding_degree,
                       load_profile, map_coordinates, profile_community,
                       profile_to_json, save_profile)
-from cva.model import CommunityModel, event_prob
+from cva.model import CommunityModel
 from cva.simulate import SimConfig, generate
 from cva.trainer import FitConfig, fit
 from cva.trajectory import (Answer, QuestionTrajectory, VoteContext,
                             VoteEvent, drop_first_votes)
+from conftest import event_prob
 
 LOG4 = math.log(4.0)  # sigmoid(log 4) = 0.8
 

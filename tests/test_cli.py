@@ -418,6 +418,9 @@ class TestInputErrors:
         (SIM_CFG.replace("uniform", "zipf:-2000"),
          "source 'zipf' weights overflow for 25 questions: "
          "'zipf:-2000'\n"),
+        (SIM_CFG.replace("lognormal:6.0,0.5", "lognormal:710,1"),
+         "source 'lognormal' drew an infinite text length: "
+         "'lognormal:710,1'\n"),
     ])
     def test_bad_sim_config(self, tmp_path, capsys, text, reason):
         cfg = tmp_path / "sim.cfg"

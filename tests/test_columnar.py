@@ -12,8 +12,7 @@ from cva.bias import herding_degree
 from cva.counterfactual import MOODS, build_population, \
     counterfactual_curve, estimate_quality
 from cva.evaluation import (RANKER_CVA, RANKER_NO_POSITION, RANKER_VOTE_DIFF,
-                            build_ranking_sets, evaluate_rankers,
-                            score_rankings)
+                            evaluate_rankers)
 from cva.model import (CommunityModel, EncodedEvents, ParameterIndex,
                        model_to_json, vote_probs)
 from cva.simulate import SimConfig, generate
@@ -22,6 +21,7 @@ from cva.trainer import FitConfig, fit_events, fit_prefixes, \
 from cva.trajectory import (drop_first_votes, final_rel_lengths,
                             final_vote_diffs, read_trajectories,
                             write_trajectories)
+from evaluation_reference import build_ranking_sets, score_rankings
 from test_counterfactual import brute_force_quality
 
 

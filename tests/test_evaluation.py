@@ -1,13 +1,18 @@
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cva.evaluation import (EvaluationReport, build_ranking_sets,
-                            evaluate_rankers, kendall_tau,
-                            paired_significance, rank_answers, rank_zscores,
-                            residual_to_diagonal, score_rankings, winrates)
+import evaluation_reference as reference
+from cva import evaluation
+from cva.evaluation import (RANKERS, EvaluationReport, RankingSet,
+                            build_ranking_sets, evaluate_rankers,
+                            kendall_tau, paired_significance, rank_answers,
+                            rank_zscores, residual_to_diagonal,
+                            score_rankings, winrates)
 from cva.model import CommunityModel
 from cva.trajectory import Answer, QuestionTrajectory, VoteEvent
 
@@ -171,6 +176,163 @@ class TestPairedSignificance:
         a = paired_significance(deltas, seed=9)
         b = paired_significance(deltas, seed=9)
         assert a.p == b.p
+
+
+class TestBlockwiseBootstrap:
+    """The shared blockwise draw against one whole-matrix draw per
+    comparison (`evaluation_reference.paired_significance`)."""
+
+    @staticmethod
+    def deltas(n, rows=4):
+        # A small positive shift keeps p away from its floor and from 1.
+        # The last row holds -1, 0 and 1, so some resampled means are
+        # exactly 0, as for the tau differences of small questions.
+        rng = np.random.default_rng(n)
+        deltas = rng.normal(0.03, 1.0, size=(rows, n))
+        deltas[-1] = rng.integers(-1, 2, size=n)
+        return deltas
+
+    @pytest.mark.parametrize("n", [10, 17, 1751, 1752])
+    def test_rows_equal_one_draw_each(self, n):
+        deltas = self.deltas(n)
+        got = paired_significance(deltas, seed=7)
+        assert got == [reference.paired_significance(row.tolist(), 7)
+                       for row in deltas]
+        assert paired_significance(deltas[2], seed=7) == got[2]
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 999, 1000, 4096])
+    def test_any_block_size_gives_the_same_p(self, monkeypatch,
+                                             block_rows):
+        deltas = self.deltas(17, rows=2)
+        monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", 17 * block_rows)
+        assert paired_significance(deltas, seed=3) == [
+            reference.paired_significance(row.tolist(), 3)
+            for row in deltas]
+
+    def test_too_few_questions_in_every_row(self):
+        got = paired_significance(np.ones((3, 9)), seed=0)
+        assert [(r.p, r.n, r.insufficient_data) for r in got] == \
+            [(1.0, 9, True)] * 3
+
+    def test_memory_is_bounded(self):
+        # One whole 10,000 x 2,000 draw and its gather hold 320 MB; the
+        # blocks hold about 1 MB.
+        deltas = self.deltas(2000)
+        tracemalloc.start()
+        try:
+            paired_significance(deltas, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+def random_ranking_sets(rng, n_sets, tied_share):
+    """Ranking sets of 2 to 40 answers. A `tied_share` of them carry
+    hand-made ranks with ties, some entirely tied (tau undefined)."""
+    sets = []
+    for i in range(n_sets):
+        k = int(rng.integers(2, 41))
+        truth = (rng.permutation(k) + 1).tolist()
+        ranks = {}
+        for r in RANKERS:
+            if rng.random() < tied_share:
+                ranks[r] = rng.integers(1, int(rng.integers(1, 4)) + 1,
+                                        size=k).tolist()
+            elif rng.random() < 0.5:   # close to the truth
+                ranks[r] = list(truth)
+                for _ in range(int(rng.integers(0, 3))):
+                    a, b = rng.integers(0, k, size=2)
+                    ranks[r][a], ranks[r][b] = ranks[r][b], ranks[r][a]
+            else:
+                ranks[r] = (rng.permutation(k) + 1).tolist()
+        if rng.random() < tied_share:
+            truth = [1] * k if rng.random() < 0.5 else \
+                rng.integers(1, 3, size=k).tolist()
+        sets.append(RankingSet(f"q{i}", tuple(f"q{i}-a{j}" for j in range(k)),
+                               ranks, truth))
+    return sets
+
+
+class TestGroupedKernels:
+    """`build_ranking_sets` and `score_rankings` against the per-question
+    reference, byte for byte."""
+
+    @pytest.mark.parametrize("n_sets, tied_share, seed", [
+        (3, 0.0, 0), (9, 0.3, 1), (10, 0.0, 2), (12, 0.3, 3),
+        (80, 0.1, 4), (200, 0.2, 5)])
+    def test_score_rankings(self, n_sets, tied_share, seed):
+        rng = np.random.default_rng(seed)
+        sets = random_ranking_sets(rng, n_sets, tied_share)
+        got = score_rankings(sets, seed=seed)
+        want = reference.score_rankings(sets, seed)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        assert got.n_skipped == want.n_skipped
+        assert got.insufficient_data == (want.n_questions < 10)
+
+    def test_unscorable_questions_skipped(self):
+        # tau undefined (a side entirely tied) or rankings of unequal length
+        sets = random_ranking_sets(np.random.default_rng(6), 13, 0.0)
+        sets[3] = RankingSet("tied", ("a", "b", "c"),
+                             {r: [1, 2, 3] for r in RANKERS}, [2, 2, 2])
+        sets[5].ranks["cva"][:] = [4] * len(sets[5].truth_ranks)
+        sets[8] = RankingSet("short", ("a", "b", "c"),
+                             {r: [1, 2, 3] for r in RANKERS}, [3, 1, 2])
+        sets[8].ranks["cva"].pop()
+        got = score_rankings(sets, seed=1)
+        assert got.n_questions == 10 and got.n_skipped == 3
+        assert json.dumps(got.to_json()) == \
+            json.dumps(reference.score_rankings(sets, 1).to_json())
+
+    def test_no_rankable_question(self):
+        tied = RankingSet("q", ("a", "b"), {r: [1, 2] for r in RANKERS},
+                          [1, 1])
+        with pytest.raises(evaluation.NoRankableQuestionsError):
+            score_rankings([tied], seed=0)
+
+    def test_bootstrap_is_one_call(self, monkeypatch):
+        # The four comparisons share one resampling, in one traced call.
+        calls = []
+        real = evaluation.paired_significance
+
+        def spy(deltas, seed):
+            calls.append(np.shape(deltas))
+            return real(deltas, seed)
+        monkeypatch.setattr(evaluation, "paired_significance", spy)
+        sets = random_ranking_sets(np.random.default_rng(7), 15, 0.0)
+        score_rankings(sets, seed=0)
+        assert calls == [(4, 15)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_build_ranking_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        trajs, truth = [], {}
+        scores = {r: {} for r in RANKERS}
+        for i in range(60):
+            k = int(rng.integers(1, 41))
+            answers = tuple(Answer(f"q{i}-a{j}", j, 100) for j in range(k))
+            trajs.append(QuestionTrajectory(f"q{i}", answers, ()))
+            for a in answers:
+                if rng.random() < 0.9:
+                    truth[a.answer_id] = float(rng.normal())
+                for r in RANKERS:
+                    if rng.random() < 0.95:
+                        # few distinct values, so ties are common
+                        scores[r][(f"q{i}", a.answer_id)] = \
+                            float(rng.integers(-3, 4)) * 0.5
+        got = build_ranking_sets(trajs, truth, scores)
+        assert got == reference.build_ranking_sets(trajs, truth, scores)
+        assert all(type(x) is int for rs in got[0]
+                   for x in rs.truth_ranks + rs.ranks["cva"])
+
+    def test_non_finite_score_rejected(self):
+        answers = tuple(Answer(f"q-a{j}", j, 100) for j in range(3))
+        scores = {"cva": {("q", "q-a0"): 1.0, ("q", "q-a1"): float("nan"),
+                          ("q", "q-a2"): 0.0}}
+        truth = {"q-a0": 0.1, "q-a1": 0.2, "q-a2": 0.3}
+        with pytest.raises(ValueError, match="scores must be finite"):
+            build_ranking_sets([QuestionTrajectory("q", answers, ())],
+                               truth, scores)
 
 
 def report(kt_cva, kt_vd, kt_ab, res_cva=1.0, res_vd=2.0, res_ab=2.0):

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from cva.simulate import (SimConfig, choice_cdf, crp_new_answer,
-                          draw_index, estimate_crp_alpha, generate,
-                          parse_sim_config, pick_inverse_rank, scale_truth,
-                          toy_scenario)
-from cva.trajectory import (Answer, QuestionTrajectory,
-                            reconstruct_contexts, trajectory_to_json_line)
+from cva.simulate import (SimConfig, _QuestionState, choice_cdf,
+                          crp_new_answer, draw_index, estimate_crp_alpha,
+                          generate, parse_sim_config, pick_inverse_rank,
+                          scale_truth, toy_scenario)
+from cva.trajectory import (Answer, QuestionTrajectory, VoteEvent,
+                            final_rel_lengths, reconstruct_contexts,
+                            trajectory_to_json_line)
 
 
 def strip_contexts(traj):
@@ -36,6 +39,30 @@ class TestGenerate:
             replayed = reconstruct_contexts(strip_contexts(traj))
             assert [e.context for e in replayed.events] == \
                    [e.context for e in traj.events]
+
+    def test_log_lengths_summed_left_to_right(self):
+        # From Python 3.12 on, the built-in sum() of floats compensates
+        # rounding; for these lengths it then differs from a left-to-right
+        # sum in the last bit, as math.fsum does on every version. The
+        # simulator, the final relative lengths and the replay must all
+        # add left to right to agree.
+        lengths = [3942, 2988, 4670]
+        logs = [math.log(n) for n in lengths]
+        running = 0.0
+        for value in logs:
+            running += value
+        assert math.fsum(logs) != running
+        want = [ll - running / len(logs) for ll in logs]
+        answers = tuple(Answer(f"q-a{j}", j + 1, n)
+                        for j, n in enumerate(lengths))
+        state = _QuestionState("q")
+        state.answers = list(answers)
+        assert [state.rel_length(j) for j in range(3)] == want
+        traj = QuestionTrajectory("q", answers, tuple(
+            VoteEvent(j, j + 1, +1, 10 + j) for j in range(3)))
+        replayed = reconstruct_contexts(traj)
+        assert [e.context.rel_length for e in replayed.events] == want
+        assert list(final_rel_lengths(traj).values()) == want
 
     def test_tiny_alpha_gives_single_answer_questions(self):
         cfg = SimConfig(n_questions=5, n_events=400, crp_alpha=1e-6,
