@@ -19,16 +19,15 @@ config = SimConfig(n_questions=200, n_events=8000, crp_alpha=0.1,
                    length_source="lognormal:6.0,0.0",
                    question_weight_source="uniform", seed=63)
 print("generating:", config)
-trajectories, truth = generate(config)
-n_votes = sum(len(t.events) for t in trajectories)
-print(f"-> {len(trajectories)} questions, {len(truth)} answers, "
-      f"{n_votes} votes")
+community, truth = generate(config)
+print(f"-> {len(community)} questions, {len(truth)} answers, "
+      f"{len(community.sign)} votes")
 
-alpha_hat = estimate_crp_alpha(trajectories)
+alpha_hat = estimate_crp_alpha(community)
 print(f"\nanswer-arrival concentration estimated from the data: "
       f"{alpha_hat:.4f} (generator used {config.crp_alpha})")
 
-model = fit(trajectories, FitConfig())
+model = fit(community, FitConfig())
 print(f"\nfit: {model.fit_meta['iterations']} iterations, "
       f"gradient max-norm {model.fit_meta['final_grad_norm']:.2e}")
 print(f"herding coefficient:  fitted {model.lam:+.4f}  "

@@ -18,7 +18,7 @@ from .evaluation import EvaluationReport, RankingSet, evaluate_rankers, \
 from .ingest import FilterReport, ParsedQuestion, QualityLabel, RejectLog, \
     apply_filters, load_labels, parse_dump
 from .model import CommunityModel, load_model, model_from_json, \
-    model_to_json, nll_and_grad, save_model, vote_prob
+    model_to_json, save_model, vote_prob
 from .simulate import SimConfig, estimate_crp_alpha, generate, \
     parse_sim_config, scale_truth, toy_scenario
 from .trainer import FitConfig, fit, fit_prefixes, parse_fit_config, \
@@ -42,7 +42,7 @@ __all__ = [
     "final_rel_lengths", "final_vote_diffs", "fit", "fit_power_law",
     "fit_prefixes", "generate", "herding_degree", "kendall_tau",
     "load_labels", "load_model", "map_coordinates", "model_from_json",
-    "model_to_json", "nll_and_grad", "paired_significance", "parse_dump",
+    "model_to_json", "paired_significance", "parse_dump",
     "parse_fit_config", "parse_sim_config", "profile_community",
     "rank_answers", "rank_zscores", "read_trajectories",
     "reconstruct_contexts", "residual_to_diagonal", "save_model",

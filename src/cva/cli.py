@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .bias import NoEventsToScoreError, load_profile, map_coordinates, \
     profile_community, save_profile
-from .configio import InputError
+from .configio import InputError, finite_float
 from .counterfactual import MOODS, build_population, counterfactual_curve, \
     estimate_quality, fit_power_law
 from .evaluation import NoRankableQuestionsError, evaluate_rankers
@@ -130,18 +130,17 @@ def _cmd_quality(args) -> int:
 def _cmd_simulate(args) -> int:
     config = parse_sim_config(args.config)
     try:
-        trajectories, truth = generate(config)
+        community, truth = generate(config)
     except LengthOverflowError as exc:
         raise InputError(args.config, str(exc)) from None
-    write_trajectories(trajectories, args.out)
+    write_trajectories(community, args.out)
     scaled = scale_truth(truth)
     _write_csv(args.truth, ["answer_id", "score", "source"],
                [(aid, scaled[aid], "synthetic_truth")
                 for aid in sorted(scaled)])
-    n_votes = sum(len(t.events) for t in trajectories)
-    print(f"questions: {len(trajectories)}")
+    print(f"questions: {len(community)}")
     print(f"answers: {len(truth)}")
-    print(f"votes: {n_votes}")
+    print(f"votes: {len(community.sign)}")
     return EX_OK
 
 
@@ -266,7 +265,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--freeze-beta", type=float, default=None,
+    p.add_argument("--freeze-beta", type=finite_float, default=None,
                    help="hold the position coefficient at this value "
                         "(0 gives the no-position ablation)")
     p.set_defaults(func=_cmd_fit)

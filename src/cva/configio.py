@@ -5,6 +5,7 @@ use."""
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, Iterable, Iterator, Optional
 
 
@@ -90,6 +91,14 @@ def parse_bool(text: str) -> bool:
     if lowered in ("false", "0", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def finite_float(text: str) -> float:
+    """float(text), which must be finite: a config or option value."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def parse_key_values(path) -> dict[str, str]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -71,7 +72,17 @@ class RejectLog:
 
 
 def _parse_date(text: str) -> int:
-    dt = datetime.fromisoformat(text)
+    try:
+        dt = datetime.fromisoformat(text)
+    except ValueError as exc:
+        # before Python 3.11, fromisoformat takes neither a trailing "Z"
+        # nor a fraction of other than 3 or 6 digits; 3.11 reads both
+        iso = re.sub(r"\.(\d{1,6})(?=[+-]|$)", lambda m: m[0].ljust(7, "0"),
+                     re.sub(r"Z$", "+00:00", text))
+        try:
+            dt = datetime.fromisoformat(iso)
+        except ValueError:
+            raise exc from None  # the message names the date as given
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())

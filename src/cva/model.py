@@ -276,20 +276,6 @@ def curvature_bound_product(v: np.ndarray, data: EncodedEvents,
     return out
 
 
-def nll_and_grad(model: CommunityModel, events: Sequence[Event]
-                 ) -> tuple[float, np.ndarray]:
-    """Objective and gradient at the model's current parameters.
-
-    The gradient is aligned with the ParameterIndex built from the
-    model's own q and nu maps.
-    """
-    index = ParameterIndex(
-        q_keys=[(qid, aid) for qid, by_a in model.q.items() for aid in by_a],
-        nu_keys=list(model.nu.keys()))
-    data = EncodedEvents(index, events)
-    return objective_and_grad(index.pack(model), data, model.l2_weight)
-
-
 # --- serialization -----------------------------------------------------
 
 

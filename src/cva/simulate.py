@@ -18,15 +18,15 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 from scipy.special import expit
 
 from .configio import InputError, parse_typed
-from .trajectory import (Answer, QuestionTrajectory, VoteContext, VoteEvent,
-                         NEUTRAL_POS_RATIO, REL_LENGTH_CLIP,
-                         read_trajectories, reconstruct_contexts,
+from .trajectory import (Answer, Community, QuestionTrajectory,
+                         NEUTRAL_POS_RATIO, REL_LENGTH_CLIP, as_community,
+                         read_trajectories, replay_community,
                          sequential_sum)
 
 log = logging.getLogger(__name__)
@@ -60,14 +60,17 @@ class SimConfig:
             raise ValueError("n_questions must be >= 1")
         if self.n_events < self.n_questions:
             raise ValueError("n_events must be >= n_questions")
-        if self.quality_sd <= 0:
-            raise ValueError("quality_sd must be > 0")
+        for name in ("quality_mean", "true_lambda", "true_beta", "true_nu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not 0 < self.quality_sd < math.inf:
+            raise ValueError("quality_sd must be finite and > 0")
         if isinstance(self.crp_alpha, str):
             if self.crp_alpha != "auto":
                 raise ValueError(f"crp_alpha must be a positive number or "
                                  f"'auto', got {self.crp_alpha!r}")
-        elif self.crp_alpha <= 0:
-            raise ValueError("crp_alpha must be > 0")
+        elif not 0 < self.crp_alpha < math.inf:
+            raise ValueError("crp_alpha must be finite and > 0")
         length_kind, _ = _parse_source(self.length_source,
                                        ("lognormal", "empirical"))
         weight_kind, weight_arg = _parse_source(
@@ -191,24 +194,26 @@ def pick_inverse_rank(rng: np.random.Generator, n_ranks: int) -> int:
 
 
 class _QuestionState:
+    """One question as the simulator plays it out; its votes are raw
+    (answer_index, sign, timestamp) triples for the replay."""
+
     def __init__(self, question_id: str):
         self.question_id = question_id
         self.answers: list[Answer] = []
-        self.true_q: list[float] = []
         self.pos: list[int] = []
         self.neg: list[int] = []
-        self.events: list[VoteEvent] = []
-        self.n_crp_events = 0  # answers written + votes cast
+        self.votes: list[tuple[int, int, int]] = []
+        self.log_len_sum = 0.0  # added left to right, as `_replay` adds it
 
-    def display_order(self) -> list[int]:
-        diffs = [p - n for p, n in zip(self.pos, self.neg)]
-        return sorted(range(len(self.answers)),
-                      key=lambda i: (-diffs[i],
-                                     self.answers[i].creation_time))
+    def add_answer(self, answer: Answer) -> None:
+        self.answers.append(answer)
+        self.pos.append(0)
+        self.neg.append(0)
+        self.log_len_sum += math.log(answer.text_length)
 
     def rel_length(self, j: int) -> float:
-        logs = [math.log(a.text_length) for a in self.answers]
-        rel = logs[j] - sequential_sum(logs) / len(logs)
+        rel = math.log(self.answers[j].text_length) \
+            - self.log_len_sum / len(self.answers)
         return max(-REL_LENGTH_CLIP, min(REL_LENGTH_CLIP, rel))
 
 
@@ -259,23 +264,18 @@ def _resolve_alpha(config: SimConfig) -> float:
         kind, path = source.partition(":")[::2]
         if kind == "empirical":  # validate() made sure that one is
             break
-    community = read_trajectories(path)
-    n_answers = [len(a) for a in community.answers]
     try:
-        return _crp_alpha(n_answers, (n_answers
-                                      + np.diff(community.event_starts)
-                                      ).tolist())
+        return estimate_crp_alpha(read_trajectories(path))
     except ValueError as exc:
         raise InputError(path, str(exc)) from None
 
 
-def generate(config: SimConfig
-             ) -> tuple[list[QuestionTrajectory], dict[str, float]]:
-    """Generate trajectories plus the answer_id -> true quality map.
+def generate(config: SimConfig) -> tuple[Community, dict[str, float]]:
+    """Generate a community plus the answer_id -> true quality map.
 
-    Contexts are recorded while generating and coincide with a context
-    reconstruction replay. Questions the weight distribution never picks
-    are omitted from the output.
+    Votes are kept as raw triples; the Community's contexts come from
+    their replay, as when the written file is read, and equal the ones
+    each vote was drawn with. Questions never picked are omitted.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -291,46 +291,31 @@ def generate(config: SimConfig
 
     for step in range(1, config.n_events + 1):
         state = states[draw_index(rng, question_cdf)]
-        write_answer = (state.n_crp_events == 0
-                        or crp_new_answer(rng, state.n_crp_events, alpha))
-        if write_answer:
-            aid = f"{state.question_id}-a{len(state.answers)}"
-            answer = Answer(answer_id=aid, creation_time=step,
-                            text_length=sample_length())
-            state.answers.append(answer)
-            state.true_q.append(float(rng.normal(config.quality_mean,
-                                                 config.quality_sd)))
-            state.pos.append(0)
-            state.neg.append(0)
-            truth[aid] = state.true_q[-1]
-        else:
-            order = state.display_order()
-            j = order[pick_inverse_rank(rng, len(order))]
-            rank = order.index(j) + 1
-            n_prior = state.pos[j] + state.neg[j]
-            ratio = state.pos[j] / n_prior if n_prior else NEUTRAL_POS_RATIO
-            rel_len = state.rel_length(j)
-            x = (state.true_q[j] + config.true_lambda * ratio
-                 + config.true_nu * rel_len
-                 + config.true_beta / (1.0 + rank))
-            positive = rng.random() < expit(x)
-            ctx = VoteContext(rank=rank, pos_ratio=ratio, rel_length=rel_len,
-                              prior_pos=state.pos[j], prior_neg=state.neg[j])
-            state.events.append(VoteEvent(
-                answer_index=j, time_index=len(state.events) + 1,
-                sign=+1 if positive else -1, timestamp=step, context=ctx))
-            if positive:
-                state.pos[j] += 1
-            else:
-                state.neg[j] += 1
-        state.n_crp_events += 1
+        n_answers = len(state.answers)
+        if n_answers == 0 or crp_new_answer(
+                rng, n_answers + len(state.votes), alpha):
+            aid = f"{state.question_id}-a{n_answers}"
+            state.add_answer(Answer(aid, step, sample_length()))
+            truth[aid] = float(rng.normal(config.quality_mean,
+                                          config.quality_sd))
+            continue
+        # display order: descending vote difference, ties in creation
+        # (index) order, which the stable sort keeps
+        pos, neg = state.pos, state.neg
+        position = pick_inverse_rank(rng, n_answers)  # rank - 1
+        j = sorted(range(n_answers), key=lambda i: neg[i] - pos[i])[position]
+        ratio = pos[j] / (pos[j] + neg[j]) if pos[j] + neg[j] \
+            else NEUTRAL_POS_RATIO
+        x = (truth[state.answers[j].answer_id] + config.true_lambda * ratio
+             + config.true_nu * state.rel_length(j)
+             + config.true_beta / (1.0 + (position + 1)))
+        sign = +1 if rng.random() < expit(x) else -1
+        state.votes.append((j, sign, step))
+        (pos if sign > 0 else neg)[j] += 1
 
-    trajectories = [
-        QuestionTrajectory(question_id=s.question_id,
-                           answers=tuple(s.answers), events=tuple(s.events))
-        for s in states if s.answers
-    ]
-    return trajectories, truth
+    community = replay_community((s.question_id, tuple(s.answers), s.votes)
+                                 for s in states if s.answers)
+    return community, truth
 
 
 def scale_truth(truth: dict[str, float]) -> dict[str, float]:
@@ -345,21 +330,17 @@ def scale_truth(truth: dict[str, float]) -> dict[str, float]:
             for aid, v in truth.items()}
 
 
-def estimate_crp_alpha(trajectories: Sequence[QuestionTrajectory]) -> float:
+def estimate_crp_alpha(trajectories: Iterable[QuestionTrajectory]) -> float:
     """Maximum-likelihood concentration from answers-vs-events counts.
 
     Solves sum_q J_q = sum_q sum_{k=0}^{n_q-1} alpha/(alpha+k) by
     bisection; J_q counts answers, n_q counts answers plus votes.
     """
-    return _crp_alpha([len(t.answers) for t in trajectories],
-                      [len(t.answers) + len(t.events) for t in trajectories])
-
-
-def _crp_alpha(n_answers: Sequence[int], n_events: Sequence[int]) -> float:
-    """`estimate_crp_alpha` from each question's answer count and its
-    answer-plus-vote count."""
+    community = as_community(trajectories)
+    n_answers = [len(answers) for answers in community.answers]
     if not n_answers:
         raise ValueError("need at least one trajectory")
+    n_events = (n_answers + np.diff(community.event_starts)).tolist()
     if all(n == 1 for n in n_events):
         raise ValueError("alpha is unidentifiable: every question has a "
                          "single event")
@@ -388,37 +369,30 @@ def _crp_alpha(n_answers: Sequence[int], n_events: Sequence[int]) -> float:
 # --- toy scenarios ------------------------------------------------------
 
 
-def _toy_question(question_id: str, answer_ids: Sequence[str],
-                  votes: Sequence[tuple[int, int]]) -> QuestionTrajectory:
-    """Answers created at t = 1, 2, ... with equal lengths (toys carry no
-    length signal) and votes [(answer_index, sign)] cast at t = 10, 20,
-    ...; the replay gives each vote its context."""
-    answers = tuple(Answer(aid, creation_time=k, text_length=100)
-                    for k, aid in enumerate(answer_ids, start=1))
-    events = tuple(VoteEvent(j, t, sign, 10 * t)
-                   for t, (j, sign) in enumerate(votes, start=1))
-    return reconstruct_contexts(QuestionTrajectory(question_id, answers,
-                                                   events))
+# question_id, answer ids, votes [(answer_index, sign)] per toy question
+_TOYS = {
+    "s1a": [("toy1a", ("A", "B"), [(0, +1)] * 3 + [(1, +1)] * 3)],
+    "s1b": [("toy1b", ("A", "B"), [(1, -1)] * 3 + [(0, -1)] * 3)],
+    "s2": [("toy2a", ("A",), [(0, s) for s in (+1, +1, +1, -1, -1, -1)]),
+           ("toy2b", ("B",), [(0, s) for s in (+1, -1, +1, -1, +1, -1)])],
+}
 
 
-def toy_scenario(name: str) -> list[QuestionTrajectory]:
+def toy_scenario(name: str) -> Community:
     """Six-vote demonstration scenarios.
 
     's1a': two answers, A above B, three positive votes each (A first).
     's1b': the negative mirror of s1a.
     's2':  A and B as separate single-answer questions, so at rank 1;
            A gets +,+,+,-,-,-  and B alternates +,-,+,-,+,-.
+    Answers are created at t = 1, 2, ... with equal lengths (no length
+    signal), and the votes are cast at t = 10, 20, ....
     """
-    if name == "s1a":
-        votes = [(0, +1)] * 3 + [(1, +1)] * 3
-        return [_toy_question("toy1a", ("A", "B"), votes)]
-    if name == "s1b":
-        votes = [(1, -1)] * 3 + [(0, -1)] * 3
-        return [_toy_question("toy1b", ("A", "B"), votes)]
-    if name == "s2":
-        a_votes = [(0, s) for s in (+1, +1, +1, -1, -1, -1)]
-        b_votes = [(0, s) for s in (+1, -1, +1, -1, +1, -1)]
-        return [_toy_question("toy2a", ("A",), a_votes),
-                _toy_question("toy2b", ("B",), b_votes)]
-    raise ValueError(f"unknown toy scenario {name!r} "
-                     "(expected s1a, s1b or s2)")
+    if name not in _TOYS:
+        raise ValueError(f"unknown toy scenario {name!r} "
+                         "(expected s1a, s1b or s2)")
+    return replay_community(
+        (qid, tuple(Answer(aid, creation_time=k, text_length=100)
+                    for k, aid in enumerate(answer_ids, start=1)),
+         [(j, sign, 10 * t) for t, (j, sign) in enumerate(votes, start=1)])
+        for qid, answer_ids, votes in _TOYS[name])

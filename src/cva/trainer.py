@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .configio import parse_typed
+from .configio import InputError, finite_float, parse_typed
 from .model import (CommunityModel, EncodedEvents, Event, EventColumns,
                     ParameterIndex, curvature_bound_product,
                     objective_and_grad)
@@ -42,12 +42,12 @@ class FitConfig:
 
 
 _FIT_CONFIG_TYPES = {
-    "l2_weight": float,
-    "tol": float,
+    "l2_weight": finite_float,
+    "tol": finite_float,
     "max_iters": int,
     "drop_first_votes": bool,
     "use_length": bool,
-    "freeze_beta": float,
+    "freeze_beta": finite_float,
 }
 
 
@@ -56,7 +56,13 @@ def parse_fit_config(path) -> FitConfig:
     # seedless.
     kwargs = parse_typed(path, {**_FIT_CONFIG_TYPES, "seed": str})
     kwargs.pop("seed", None)
-    return FitConfig(**kwargs)
+    config = FitConfig(**kwargs)
+    for key, bound, ok in (("l2_weight", ">= 0", config.l2_weight >= 0),
+                           ("tol", "> 0", config.tol > 0),
+                           ("max_iters", ">= 1", config.max_iters >= 1)):
+        if not ok:
+            raise InputError(path, f"{key} must be {bound}")
+    return config
 
 
 def _polish(fun, data: EncodedEvents, x: np.ndarray, config: FitConfig,

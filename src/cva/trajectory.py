@@ -342,6 +342,16 @@ def as_community(trajectories: Iterable[QuestionTrajectory]) -> Community:
     return cols.community()
 
 
+def replay_community(questions: Iterable[tuple]) -> Community:
+    """The Community of `questions`, (question_id, answers, raw events)
+    triples, each validated and replayed by `_replay` as
+    `read_trajectories` replays a line."""
+    cols = _Columns()
+    for question_id, answers, raw_events in questions:
+        cols.replay(question_id, answers, raw_events)
+    return cols.community()
+
+
 def reconstruct_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
     """Return a copy whose events carry the context each voter saw.
 
@@ -460,12 +470,6 @@ def _replay_json(cols: _Columns, obj: dict) -> None:
         for a in obj["answers"]
     )
     cols.replay(question_id, answers, map(_RAW_EVENT, obj["events"]))
-
-
-def trajectory_from_json(obj: dict) -> QuestionTrajectory:
-    cols = _Columns()
-    _replay_json(cols, obj)
-    return cols.community()[0]
 
 
 def write_trajectories(trajs: Iterable[QuestionTrajectory], path) -> None:

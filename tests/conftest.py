@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cva.model import CommunityModel, vote_prob
+from cva.model import (CommunityModel, EncodedEvents, ParameterIndex,
+                       objective_and_grad, vote_prob)
 from cva.trajectory import (NEUTRAL_POS_RATIO, REL_LENGTH_CLIP, Answer,
-                            QuestionTrajectory, VoteContext, VoteEvent)
+                            QuestionTrajectory, VoteContext, VoteEvent,
+                            _Columns, _replay_json)
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
@@ -114,6 +116,24 @@ def reference_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
         else:
             neg[j] += 1
     return replace(traj, events=tuple(new_events))
+
+
+def trajectory_from_json(obj: dict) -> QuestionTrajectory:
+    """One JSONL line's question, validated and replayed as
+    `read_trajectories` reads it."""
+    cols = _Columns()
+    _replay_json(cols, obj)
+    return cols.community()[0]
+
+
+def nll_and_grad(model: CommunityModel, events):
+    """Objective and gradient at the model's own parameters, aligned with
+    the ParameterIndex of its q and nu maps."""
+    index = ParameterIndex(
+        q_keys=[(qid, aid) for qid, by_a in model.q.items() for aid in by_a],
+        nu_keys=list(model.nu.keys()))
+    data = EncodedEvents(index, events)
+    return objective_and_grad(index.pack(model), data, model.l2_weight)
 
 
 def event_prob(model: CommunityModel, question_id: str, answer_id: str,

@@ -421,6 +421,14 @@ class TestInputErrors:
         (SIM_CFG.replace("lognormal:6.0,0.5", "lognormal:710,1"),
          "source 'lognormal' drew an infinite text length: "
          "'lognormal:710,1'\n"),
+        (SIM_CFG + "quality_sd = nan\n",
+         "quality_sd must be finite and > 0\n"),
+        (SIM_CFG + "quality_sd = inf\n",
+         "quality_sd must be finite and > 0\n"),
+        (SIM_CFG + "quality_mean = nan\n", "quality_mean must be finite\n"),
+        (SIM_CFG + "true_nu = -inf\n", "true_nu must be finite\n"),
+        (SIM_CFG + "crp_alpha = inf\n", "crp_alpha must be finite and > 0\n"),
+        (SIM_CFG + "crp_alpha = nan\n", "crp_alpha must be finite and > 0\n"),
     ])
     def test_bad_sim_config(self, tmp_path, capsys, text, reason):
         cfg = tmp_path / "sim.cfg"
@@ -430,6 +438,45 @@ class TestInputErrors:
                               "--truth", tmp_path / "truth.csv")
         assert code == 65
         assert err.startswith(f"cva: {cfg}: {reason}")
+
+    @pytest.mark.parametrize("line, reason", [
+        ("l2_weight = -1", "l2_weight must be >= 0"),
+        ("l2_weight = nan", "l2_weight: not a finite number: 'nan'"),
+        ("tol = nan", "tol: not a finite number: 'nan'"),
+        ("tol = 0", "tol must be > 0"),
+        ("max_iters = -5", "max_iters must be >= 1"),
+        ("max_iters = 0", "max_iters must be >= 1"),
+        ("freeze_beta = inf", "freeze_beta: not a finite number: 'inf'"),
+    ])
+    def test_bad_fit_config(self, workspace, tmp_path, capsys, line,
+                            reason):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(FIT_CFG + line + "\n")
+        code, err = self._run(capsys, "fit", "--input",
+                              workspace / "T.jsonl", "--config", cfg,
+                              "--out", tmp_path / "m.json")
+        assert code == 65
+        assert err == f"cva: {cfg}: {reason}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_zero_l2_weight_fits(self, workspace, tmp_path):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(FIT_CFG + "l2_weight = 0\n")
+        assert run("fit", "--input", str(workspace / "T.jsonl"),
+                   "--config", str(cfg), "--out",
+                   str(tmp_path / "m.json")) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "x"])
+    def test_freeze_beta_not_finite_is_usage_error(self, workspace, tmp_path,
+                                                   capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--input", str(workspace / "T.jsonl"),
+                "--freeze-beta", value, "--out", str(tmp_path / "m.json"))
+        assert exc.value.code == 64
+        assert capsys.readouterr().err.endswith(
+            f"argument --freeze-beta: invalid finite_float value: "
+            f"{value!r}\n")
+        assert not (tmp_path / "m.json").exists()
 
     def test_config_line_without_equals(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +113,30 @@ class TestParseDump:
         assert len(rejects) == len(golden_rejects) + 1
         assert [r for n, r in rejects.entries
                 if n == 3 and r.startswith(f"{kind}: bad value")]
+
+
+    @pytest.mark.parametrize("text, seconds", [
+        ("2020-01-02T03:04:05Z", 1577934245),
+        ("2020-01-02T03:04:05.12", 1577934245),
+        ("2020-01-02T03:04:05.1Z", 1577934245),
+        ("2020-01-02T03:04:05.12345+01:00", 1577930645),
+        ("2020-01-02T03:04:05.123", 1577934245),
+    ])
+    def test_dates_read_as_from_python_311(self, text, seconds):
+        # Python 3.10's fromisoformat rejects all but the last of these,
+        # which 3.11 and later read; on 3.11 and later this passes
+        # without the fallback too, so it guards the 3.10 CI leg.
+        assert ingest._parse_date(text) == seconds
+
+    @pytest.mark.parametrize("text", ["yesterday", "yesterdayZ",
+                                      "2020-13-01",
+                                      "2020-01-02T03:04:05.12Zx"])
+    def test_bad_date_keeps_its_error(self, text):
+        with pytest.raises(ValueError) as exc:
+            ingest._parse_date(text)
+        with pytest.raises(ValueError) as direct:
+            datetime.fromisoformat(text)
+        assert str(exc.value) == str(direct.value)
 
 
 def reference_rows(path, rejects, kind):

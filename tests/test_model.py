@@ -9,11 +9,10 @@ import pytest
 
 import cva
 from cva.model import (CommunityModel, EncodedEvents, ParameterIndex,
-                       model_from_json, model_to_json, nll_and_grad,
-                       objective_and_grad, load_model, save_model,
-                       vote_prob)
+                       model_from_json, model_to_json, objective_and_grad,
+                       load_model, save_model, vote_prob)
 from cva.trajectory import VoteContext
-from conftest import event_prob
+from conftest import event_prob, nll_and_grad
 
 
 def ctx(rank=1, ratio=0.5, length=0.0, pos=0, neg=0):

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from cva import simulate
 from cva.simulate import (SimConfig, _QuestionState, choice_cdf,
                           crp_new_answer, draw_index, estimate_crp_alpha,
                           generate, parse_sim_config, pick_inverse_rank,
                           scale_truth, toy_scenario)
 from cva.trajectory import (Answer, QuestionTrajectory, VoteEvent,
-                            final_rel_lengths, reconstruct_contexts,
-                            trajectory_to_json_line)
+                            as_community, final_rel_lengths,
+                            reconstruct_contexts, trajectory_to_json_line,
+                            write_trajectories)
+from simulate_reference import reference_generate
 
 
 def strip_contexts(traj):
@@ -29,23 +32,34 @@ class TestGenerate:
                [trajectory_to_json_line(t) for t in b_trajs]
         assert a_truth == b_truth
 
-    def test_recorded_contexts_match_replay(self):
+    def test_recorded_contexts_match_replay(self, monkeypatch):
+        # Each vote's sign is drawn with the logit of the context the
+        # simulator works out; the same logit computed from the contexts
+        # the replay stores must match it bit for bit, vote for vote.
         cfg = SimConfig(n_questions=10, n_events=400, crp_alpha=2.0,
                         true_lambda=1.0, true_beta=2.0, true_nu=0.5,
                         seed=33)
-        trajs, _ = generate(cfg)
-        assert sum(len(t.events) for t in trajs) > 50
-        for traj in trajs:
-            replayed = reconstruct_contexts(strip_contexts(traj))
-            assert [e.context for e in replayed.events] == \
-                   [e.context for e in traj.events]
+        logits = []
+        real_expit = simulate.expit
+        monkeypatch.setattr(simulate, "expit",
+                            lambda x: logits.append(x) or real_expit(x))
+        community, truth = generate(cfg)
+        assert len(community.sign) > 50
+        q = np.array([truth[community.answers[i][j].answer_id] for i, j
+                      in zip(community.question, community.answer_index)])
+        replayed = (q + 1.0 * community.pos_ratio
+                    + 0.5 * community.rel_length
+                    + 2.0 / (1.0 + community.rank))
+        by_time = np.argsort(community.timestamp, kind="stable")
+        assert [x.hex() for x in replayed[by_time].tolist()] == \
+               [x.hex() for x in logits]
 
     def test_log_lengths_summed_left_to_right(self):
         # From Python 3.12 on, the built-in sum() of floats compensates
         # rounding; for these lengths it then differs from a left-to-right
         # sum in the last bit, as math.fsum does on every version. The
-        # simulator, the final relative lengths and the replay must all
-        # add left to right to agree.
+        # simulator's draw-time relative lengths, the final relative
+        # lengths and the replay must all add left to right to agree.
         lengths = [3942, 2988, 4670]
         logs = [math.log(n) for n in lengths]
         running = 0.0
@@ -53,11 +67,11 @@ class TestGenerate:
             running += value
         assert math.fsum(logs) != running
         want = [ll - running / len(logs) for ll in logs]
-        answers = tuple(Answer(f"q-a{j}", j + 1, n)
-                        for j, n in enumerate(lengths))
         state = _QuestionState("q")
-        state.answers = list(answers)
+        for j, n in enumerate(lengths):
+            state.add_answer(Answer(f"q-a{j}", j + 1, n))
         assert [state.rel_length(j) for j in range(3)] == want
+        answers = tuple(state.answers)
         traj = QuestionTrajectory("q", answers, tuple(
             VoteEvent(j, j + 1, +1, 10 + j) for j in range(3)))
         replayed = reconstruct_contexts(traj)
@@ -122,6 +136,57 @@ class TestGenerate:
                         seed=1)
         with pytest.raises(ValueError):
             generate(cfg)
+
+
+REFERENCE_CONFIGS = {
+    "zipf": dict(question_weight_source="zipf:1.1", crp_alpha=0.5,
+                 true_lambda=1.0, true_beta=2.0),
+    "lognormal_5_2": dict(length_source="lognormal:5,2", crp_alpha=2.0,
+                          true_lambda=0.5, true_beta=1.0, true_nu=0.4),
+    "empirical_auto": dict(crp_alpha="auto", true_lambda=1.0,
+                           true_beta=2.0, true_nu=0.3),
+    "nu_plus": dict(crp_alpha=5.0, true_nu=0.7, true_beta=1.5),
+    "nu_minus": dict(crp_alpha=1.0, true_nu=-0.3, true_lambda=2.0,
+                     quality_sd=0.5),
+    "tiny_alpha": dict(crp_alpha=1e-6, true_lambda=1.0, true_beta=2.0),
+}
+INT_COLUMNS = ("event_starts", "question", "answer_index", "sign",
+               "timestamp", "time_index", "rank", "prior_pos", "prior_neg",
+               "answer_slot", "first_vote")
+
+
+class TestReferenceLoop:
+    """`generate` against the per-vote loop it replaced, kept in
+    tests/simulate_reference.py."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_same_output_and_columns(self, name, tmp_path):
+        extra = dict(REFERENCE_CONFIGS[name])
+        if extra["crp_alpha"] == "auto":
+            source = tmp_path / "source.jsonl"
+            write_trajectories(generate(SimConfig(
+                n_questions=30, n_events=900, crp_alpha=2.0, seed=3))[0],
+                source)
+            extra.update(length_source=f"empirical:{source}",
+                         question_weight_source=f"empirical:{source}")
+        cfg = SimConfig(n_questions=40, n_events=2_000, seed=8, **extra)
+        community, truth = generate(cfg)
+        ref_trajs, ref_truth = reference_generate(cfg)
+        assert [trajectory_to_json_line(t) for t in community] == \
+               [trajectory_to_json_line(t) for t in ref_trajs]
+        assert list(truth) == list(ref_truth)
+        assert [v.hex() for v in truth.values()] == \
+               [v.hex() for v in ref_truth.values()]
+        ref = as_community(ref_trajs)  # the contexts drawn with
+        assert community.question_ids == ref.question_ids
+        assert community.answers == ref.answers
+        for column in INT_COLUMNS:
+            got, want = getattr(community, column), getattr(ref, column)
+            assert got.dtype == want.dtype and np.array_equal(got, want), \
+                column
+        for column in ("pos_ratio", "rel_length"):
+            assert [x.hex() for x in getattr(community, column).tolist()] \
+                == [x.hex() for x in getattr(ref, column).tolist()], column
 
 
 class TestCrpStatistics:

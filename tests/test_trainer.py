@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from cva.model import model_to_json, nll_and_grad
+from cva.model import model_to_json
 from cva.simulate import SimConfig, generate, toy_scenario
 from cva.trainer import (FitConfig, TOY_TICKS, fit, fit_events,
                          fit_prefixes, parse_fit_config, toy_quality_curves,
                          training_events)
 from cva.trajectory import Answer, QuestionTrajectory, VoteEvent, \
     reconstruct_contexts
+from conftest import nll_and_grad
 
 TOY_CFG = FitConfig(use_length=False)
 

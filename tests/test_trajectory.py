@@ -9,9 +9,10 @@ from cva.trajectory import (Answer, Community, MalformedTrajectoryError,
                             QuestionTrajectory, VoteEvent, as_community,
                             drop_first_votes, final_rel_lengths,
                             final_vote_diffs, read_trajectories,
-                            reconstruct_contexts, trajectory_from_json,
-                            trajectory_to_json_line, write_trajectories)
-from conftest import oracle_rank, random_trajectory, reference_contexts
+                            reconstruct_contexts, trajectory_to_json_line,
+                            write_trajectories)
+from conftest import (oracle_rank, random_trajectory, reference_contexts,
+                      trajectory_from_json)
 
 
 def make_traj(n_answers, votes, lengths=None, accepted=None,
