@@ -18,15 +18,14 @@ from .evaluation import EvaluationReport, RankingSet, evaluate_rankers, \
 from .ingest import FilterReport, ParsedQuestion, QualityLabel, RejectLog, \
     apply_filters, load_labels, parse_dump
 from .model import CommunityModel, load_model, model_from_json, \
-    model_to_json, save_model, vote_prob
+    model_to_json, save_model
 from .simulate import SimConfig, estimate_crp_alpha, generate, \
     parse_sim_config, scale_truth, toy_scenario
 from .trainer import FitConfig, fit, fit_prefixes, parse_fit_config, \
     toy_quality_curves, training_events
 from .trajectory import Answer, Community, MalformedTrajectoryError, \
-    QuestionTrajectory, VoteContext, VoteEvent, as_community, \
-    drop_first_votes, final_rel_lengths, final_vote_diffs, \
-    read_trajectories, reconstruct_contexts, write_trajectories
+    QuestionTrajectory, read_trajectories, reconstruct_contexts, \
+    replay_community, write_trajectories
 
 __version__ = "0.1.0"
 
@@ -35,17 +34,15 @@ __all__ = [
     "ContextPopulation", "CurveResult", "EvaluationReport", "FilterReport",
     "FitConfig", "MalformedTrajectoryError", "ParsedQuestion",
     "PowerLawFit", "QualityLabel", "QuestionTrajectory", "RankingSet",
-    "RejectLog", "SimConfig", "VoteContext", "VoteEvent",
-    "apply_filters", "as_community", "build_population",
-    "counterfactual_curve", "drop_first_votes",
-    "estimate_crp_alpha", "estimate_quality", "evaluate_rankers",
-    "final_rel_lengths", "final_vote_diffs", "fit", "fit_power_law",
-    "fit_prefixes", "generate", "herding_degree", "kendall_tau",
-    "load_labels", "load_model", "map_coordinates", "model_from_json",
-    "model_to_json", "paired_significance", "parse_dump",
-    "parse_fit_config", "parse_sim_config", "profile_community",
-    "rank_answers", "rank_zscores", "read_trajectories",
-    "reconstruct_contexts", "residual_to_diagonal", "save_model",
-    "scale_truth", "toy_quality_curves", "toy_scenario", "training_events",
-    "vote_prob", "winrates", "write_trajectories",
+    "RejectLog", "SimConfig", "apply_filters", "build_population",
+    "counterfactual_curve", "estimate_crp_alpha", "estimate_quality",
+    "evaluate_rankers", "fit", "fit_power_law", "fit_prefixes",
+    "generate", "herding_degree", "kendall_tau", "load_labels",
+    "load_model", "map_coordinates", "model_from_json", "model_to_json",
+    "paired_significance", "parse_dump", "parse_fit_config",
+    "parse_sim_config", "profile_community", "rank_answers",
+    "rank_zscores", "read_trajectories",
+    "reconstruct_contexts", "replay_community", "residual_to_diagonal",
+    "save_model", "scale_truth", "toy_quality_curves", "toy_scenario",
+    "training_events", "winrates", "write_trajectories",
 ]

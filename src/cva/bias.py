@@ -13,13 +13,13 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .configio import check_json_object, is_number, read_json
 from .model import CommunityModel, vote_probs
-from .trajectory import QuestionTrajectory, as_community
+from .trajectory import Community
 
 log = logging.getLogger(__name__)
 
@@ -38,15 +38,13 @@ class BiasProfile:
     median_flags: Optional[tuple[bool, bool]] = None  # (herding, position)
 
 
-def _herding(model: CommunityModel,
-             trajectories: Iterable[QuestionTrajectory],
+def _herding(model: CommunityModel, c: Community,
              drop_first: bool) -> tuple[float, int]:
     """(herding degree, number of scored votes) from one walk.
 
     Votes on answers the model lacks are skipped, as `estimate_quality`
     skips those answers, with one warning that counts them.
     """
-    c = as_community(trajectories)
     rows = np.flatnonzero(~c.first_vote) if drop_first \
         else np.arange(len(c.sign))
     slots = c.answer_slot[rows]
@@ -75,21 +73,19 @@ def _herding(model: CommunityModel,
     return math.exp(log_sum / len(rows)), len(rows)
 
 
-def herding_degree(model: CommunityModel,
-                   trajectories: Iterable[QuestionTrajectory],
+def herding_degree(model: CommunityModel, c: Community,
                    drop_first: bool = True) -> float:
     """Geometric-mean majority-agreement odds over the scored votes.
 
     Accumulates in log domain; a literal product over thousands of odds
     would under- or overflow.
     """
-    return _herding(model, trajectories, drop_first)[0]
+    return _herding(model, c, drop_first)[0]
 
 
-def profile_community(model: CommunityModel,
-                      trajectories: Sequence[QuestionTrajectory],
+def profile_community(model: CommunityModel, c: Community,
                       community: str = "community") -> BiasProfile:
-    degree, n = _herding(model, trajectories, drop_first=True)
+    degree, n = _herding(model, c, drop_first=True)
     return BiasProfile(community=community,
                        position_sensitivity=model.beta,
                        herding_degree=degree, n_events=n)

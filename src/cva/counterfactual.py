@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import CommunityModel, vote_probs
-from .trajectory import QuestionTrajectory, as_community
+from .trajectory import Community
 
 log = logging.getLogger(__name__)
 
@@ -107,10 +107,8 @@ def _distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
     return (*(c[starts] for c in columns), counts)
 
 
-def build_population(trajectories: Iterable[QuestionTrajectory]
-                     ) -> ContextPopulation:
+def build_population(c: Community) -> ContextPopulation:
     """Collect every vote context in the community into a population."""
-    c = as_community(trajectories)
     return ContextPopulation(ratios=c.pos_ratio,
                              ranks=c.rank.astype(float),
                              lengths=c.rel_length, times=c.time_index)
@@ -138,8 +136,7 @@ def _mean_probs(model: CommunityModel, q: np.ndarray, nu: np.ndarray,
     return out
 
 
-def estimate_quality(model: CommunityModel,
-                     trajectories: Iterable[QuestionTrajectory],
+def estimate_quality(model: CommunityModel, c: Community,
                      population: ContextPopulation,
                      aggregate: str = "mean",
                      integrate_length: bool = False
@@ -156,7 +153,6 @@ def estimate_quality(model: CommunityModel,
     """
     if aggregate not in ("mean", "per_time_sum"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
-    c = as_community(trajectories)
     votes = np.bincount(c.answer_slot, minlength=c.n_answers).tolist()
     keys, q, nu, rel_len, n_votes = [], [], [], [], []
     unmodeled = []
@@ -222,8 +218,7 @@ class CurveResult:
         return self.n_answers == 0
 
 
-def counterfactual_curve(model: CommunityModel,
-                         trajectories: Sequence[QuestionTrajectory],
+def counterfactual_curve(model: CommunityModel, c: Community,
                          ranks: int, mood: str) -> CurveResult:
     """Mean positive-vote probability at each rank 1..ranks for one mood.
 
@@ -236,7 +231,6 @@ def counterfactual_curve(model: CommunityModel,
         raise ValueError("need at least 2 ranks")
     if mood not in MOODS:
         raise ValueError(f"unknown mood {mood!r}")
-    c = as_community(trajectories)
     slots = [s for s, key in enumerate(c.answer_keys)
              if model.has_answer(*key)]
     if mood == "neutral":

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .counterfactual import build_population, estimate_quality
 from .model import CommunityModel
-from .trajectory import QuestionTrajectory, as_community
+from .trajectory import Answer, Community
 
 log = logging.getLogger(__name__)
 
@@ -214,24 +214,26 @@ def _by_length(lengths: Sequence[int]) -> dict[int, list[int]]:
     return groups
 
 
-def build_ranking_sets(trajectories: Sequence[QuestionTrajectory],
+def build_ranking_sets(questions: Iterable[tuple[str, Sequence[Answer]]],
                        truth_scores: Mapping[str, float],
                        ranker_scores: Mapping[str, Mapping[tuple[str, str],
                                                            float]]
                        ) -> tuple[list[RankingSet], int]:
     """Rank each question's answers under every ranker and the truth.
 
-    Answers must carry a truth score and a score from every ranker;
-    questions left with fewer than two such answers are skipped.
-    Questions with the same number of answers are ranked together.
+    `questions` yields (question_id, answers) pairs. Answers must carry
+    a truth score and a score from every ranker; questions left with
+    fewer than two such answers are skipped. Questions with the same
+    number of answers are ranked together.
     Returns (ranking sets, skipped count).
     """
     names = list(ranker_scores)
     score_maps = list(ranker_scores.values())
     kept: list[tuple[str, tuple[str, ...]]] = []
-    for traj in trajectories:
-        qid = traj.question_id
-        usable = tuple(a.answer_id for a in traj.answers
+    n_questions = 0
+    for qid, answers in questions:
+        n_questions += 1
+        usable = tuple(a.answer_id for a in answers
                        if a.answer_id in truth_scores
                        and all((qid, a.answer_id) in scores
                                for scores in score_maps))
@@ -254,7 +256,7 @@ def build_ranking_sets(trajectories: Sequence[QuestionTrajectory],
                 ranks={name: ranks[1 + r][row]
                        for r, name in enumerate(names)},
                 truth_ranks=ranks[0][row])
-    return sets, len(trajectories) - len(kept)
+    return sets, n_questions - len(kept)
 
 
 def score_rankings(sets: Sequence[RankingSet], seed: int
@@ -317,7 +319,7 @@ def score_rankings(sets: Sequence[RankingSet], seed: int
                             insufficient_data=insufficient)
 
 
-def evaluate_rankers(trajectories: Sequence[QuestionTrajectory],
+def evaluate_rankers(community: Community,
                      model: CommunityModel,
                      ablation_model: CommunityModel,
                      truth_scores: Mapping[str, float],
@@ -330,7 +332,6 @@ def evaluate_rankers(trajectories: Sequence[QuestionTrajectory],
     """
     if cva_score not in ("q_hat", "q"):
         raise ValueError(f"unknown cva_score {cva_score!r}")
-    community = as_community(trajectories)
     population = build_population(community)
     diffs = np.bincount(community.answer_slot, weights=community.sign,
                         minlength=community.n_answers)
@@ -344,12 +345,8 @@ def evaluate_rankers(trajectories: Sequence[QuestionTrajectory],
     ablation_scores = estimate_quality(ablation_model, community,
                                        population)
 
-    # ranking reads each question's answers, not its votes
-    questions = [QuestionTrajectory(qid, answers, ())
-                 for qid, answers in zip(community.question_ids,
-                                         community.answers)]
     sets, n_unrankable = build_ranking_sets(
-        questions, truth_scores,
+        zip(community.question_ids, community.answers), truth_scores,
         {RANKER_VOTE_DIFF: diff_scores, RANKER_CVA: cva_scores,
          RANKER_NO_POSITION: ablation_scores})
     if not sets:

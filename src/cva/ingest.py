@@ -19,14 +19,14 @@ import csv
 import logging
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 from xml.parsers import expat
 
 from .configio import InputError, not_utf8, utf8_lines
-from .trajectory import Answer, QuestionTrajectory, VoteEvent
+from .trajectory import Answer, QuestionTrajectory
 
 log = logging.getLogger(__name__)
 
@@ -290,13 +290,12 @@ def _assemble(qrec: _QuestionRecord,
                    key=itemgetter(0, 1))
     events = []
     prev_t = None
-    for k, (date, _, i, sign) in enumerate(votes, start=1):
+    for date, _, i, sign in votes:
         t = max(date, arecs[i].creation_time + 1)
         if prev_t is not None:
             t = max(t, prev_t + 1)
         prev_t = t
-        events.append(VoteEvent(answer_index=i, time_index=k, sign=sign,
-                                timestamp=t))
+        events.append((i, sign, t))
     return QuestionTrajectory(question_id=str(qrec.question_id),
                               answers=answer_objs, events=tuple(events))
 
@@ -354,17 +353,12 @@ def _drop_post_acceptance_votes(traj: QuestionTrajectory
     if acc is None:
         return traj, 0
     cutoff = traj.answers[acc].acceptance_time
-    kept = [ev for ev in traj.events
-            if not (ev.answer_index == acc and ev.timestamp > cutoff)]
+    kept = tuple(ev for ev in traj.events
+                 if not (ev[0] == acc and ev[2] > cutoff))
     n_dropped = len(traj.events) - len(kept)
     if n_dropped == 0:
         return traj, 0
-    events = tuple(VoteEvent(answer_index=ev.answer_index, time_index=k,
-                             sign=ev.sign, timestamp=ev.timestamp,
-                             context=None)
-                   for k, ev in enumerate(kept, start=1))
-    return QuestionTrajectory(question_id=traj.question_id,
-                              answers=traj.answers, events=events), n_dropped
+    return replace(traj, events=kept), n_dropped
 
 
 def load_labels(path) -> dict[str, QualityLabel]:

@@ -16,21 +16,16 @@ in the test suite.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .configio import check_json_object, is_number, read_json
-from .trajectory import Community, VoteContext
+from .trajectory import Community
 
 PROB_CLIP = 1e-12  # keeps log-likelihood terms finite
-
-# One training observation: ((question_id, answer_id), v, context)
-# with v = 1 for a positive vote and 0 for a negative one.
-Event = tuple[tuple[str, str], int, VoteContext]
 
 
 @dataclass
@@ -59,16 +54,6 @@ def vote_probs(q, lam, ratio, nu, rel_length, beta, rank) -> np.ndarray:
     over arrays or scalars."""
     return np.clip(expit(q + lam * ratio + nu * rel_length
                          + beta / (1.0 + rank)), PROB_CLIP, 1.0 - PROB_CLIP)
-
-
-def vote_prob(model: CommunityModel, q: float, ctx, nu: float = 0.0) -> float:
-    """Positive-vote probability for quality `q` in context `ctx`.
-
-    `nu` is the length coefficient of the answer's question; callers that
-    have no length term pass the default 0.
-    """
-    return float(vote_probs(q, model.lam, ctx.pos_ratio, nu, ctx.rel_length,
-                            model.beta, ctx.rank))
 
 
 class ParameterIndex:
@@ -125,10 +110,9 @@ class ParameterIndex:
                               fit_meta=dict(fit_meta or {}))
 
 
-class EventColumns(SequenceABC):
-    """Training events that are rows of a Community: a read-only
-    Sequence[Event] whose items are built on access, and whose columns
-    EncodedEvents reads directly.
+class EventColumns:
+    """Training events: rows of a Community, each a vote whose sign is
+    the observation and whose context is the covariates.
 
     `answer_slots` holds each row's answer slot; `q_keys` and
     `question_ids` list the distinct answers and questions the rows vote
@@ -147,44 +131,16 @@ class EventColumns(SequenceABC):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        c, r = self.community, int(self.rows[i])
-        ctx = VoteContext(int(c.rank[r]), float(c.pos_ratio[r]),
-                          float(c.rel_length[r]), int(c.prior_pos[r]),
-                          int(c.prior_neg[r]))
-        return c.answer_keys[self.answer_slots[i]], int(c.sign[r] > 0), ctx
-
 
 class EncodedEvents:
-    """Training events flattened into numpy arrays for one ParameterIndex."""
+    """Training events gathered into numpy arrays for one ParameterIndex:
+    v (1.0 for a positive vote, 0.0 for a negative one), ratio, length,
+    inv_rank = 1/(1 + rank), q_slot and nu_slot (-1 without a length
+    term)."""
 
-    def __init__(self, index: ParameterIndex, events: Iterable[Event]):
+    def __init__(self, index: ParameterIndex, events: EventColumns):
         self.index = index
-        if isinstance(events, EventColumns):
-            self._encode_columns(events)
-            return
-        v, ratio, length, inv_rank, q_slot, nu_slot = [], [], [], [], [], []
-        for (qid, aid), vote, ctx in events:
-            if vote not in (0, 1):
-                raise ValueError(f"vote must be 0 or 1, got {vote}")
-            v.append(vote)
-            ratio.append(ctx.pos_ratio)
-            length.append(ctx.rel_length)
-            inv_rank.append(1.0 / (1.0 + ctx.rank))
-            q_slot.append(index.q_slot((qid, aid)))
-            nu_slot.append(index.nu_slot(qid) if qid in index._nu_pos else -1)
-        self.v = np.asarray(v, dtype=float)
-        self.ratio = np.asarray(ratio, dtype=float)
-        self.length = np.asarray(length, dtype=float)
-        self.inv_rank = np.asarray(inv_rank, dtype=float)
-        self.q_slot = np.asarray(q_slot, dtype=int)
-        self.nu_slot = np.asarray(nu_slot, dtype=int)
-
-    def _encode_columns(self, events: EventColumns) -> None:
-        """The arrays the loop above builds, gathered from the rows."""
-        index, c, rows = self.index, events.community, events.rows
+        c, rows = events.community, events.rows
         self.v = (c.sign[rows] > 0).astype(float)
         self.ratio = c.pos_ratio[rows]
         self.length = c.rel_length[rows]

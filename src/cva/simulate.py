@@ -18,14 +18,14 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import expit
 
 from .configio import InputError, parse_typed
 from .trajectory import (Answer, Community, QuestionTrajectory,
-                         NEUTRAL_POS_RATIO, REL_LENGTH_CLIP, as_community,
+                         NEUTRAL_POS_RATIO, REL_LENGTH_CLIP,
                          read_trajectories, replay_community,
                          sequential_sum)
 
@@ -217,7 +217,7 @@ class _QuestionState:
         return max(-REL_LENGTH_CLIP, min(REL_LENGTH_CLIP, rel))
 
 
-def _length_sampler(source: str, rng: np.random.Generator):
+def _length_sampler(source: str, rng: np.random.Generator, sources: dict):
     kind, arg = _parse_source(source, ("lognormal", "empirical"))
     if kind == "lognormal":
         mu, sigma = (float(x) for x in arg.split(","))
@@ -230,23 +230,22 @@ def _length_sampler(source: str, rng: np.random.Generator):
                     f"{source!r}")
             return max(1, round(length))
         return draw
-    pool = np.asarray([a.text_length for answers in
-                       read_trajectories(arg).answers for a in answers],
-                      dtype=int)
+    pool = np.asarray([a.text_length for answers in sources[arg].answers
+                       for a in answers], dtype=int)
     if pool.size == 0:
         raise InputError(arg, "no answers found")
     return lambda: int(pool[rng.integers(pool.size)])
 
 
 def _question_weights(source: str, n_questions: int,
-                      rng: np.random.Generator) -> np.ndarray:
+                      rng: np.random.Generator, sources: dict) -> np.ndarray:
     kind, arg = _parse_source(source, ("uniform", "zipf", "empirical"))
     if kind == "uniform":
         weights = np.ones(n_questions)
     elif kind == "zipf":
         weights = _zipf_weights(float(arg), n_questions)
     else:
-        community = read_trajectories(arg)
+        community = sources[arg]
         counts = np.asarray([len(a) for a in community.answers],
                             dtype=float) + np.diff(community.event_starts)
         if counts.size == 0:
@@ -257,7 +256,17 @@ def _question_weights(source: str, n_questions: int,
     return weights / weights.sum()
 
 
-def _resolve_alpha(config: SimConfig) -> float:
+def _empirical_sources(config: SimConfig) -> dict[str, Community]:
+    """The Community of each distinct `empirical:` path, read once."""
+    sources = {}
+    for source in (config.question_weight_source, config.length_source):
+        kind, path = source.partition(":")[::2]
+        if kind == "empirical" and path not in sources:
+            sources[path] = read_trajectories(path)
+    return sources
+
+
+def _resolve_alpha(config: SimConfig, sources: dict) -> float:
     if config.crp_alpha != "auto":
         return float(config.crp_alpha)
     for source in (config.question_weight_source, config.length_source):
@@ -265,7 +274,7 @@ def _resolve_alpha(config: SimConfig) -> float:
         if kind == "empirical":  # validate() made sure that one is
             break
     try:
-        return estimate_crp_alpha(read_trajectories(path))
+        return estimate_crp_alpha(sources[path])
     except ValueError as exc:
         raise InputError(path, str(exc)) from None
 
@@ -279,10 +288,11 @@ def generate(config: SimConfig) -> tuple[Community, dict[str, float]]:
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    alpha = _resolve_alpha(config)
-    sample_length = _length_sampler(config.length_source, rng)
+    sources = _empirical_sources(config)
+    alpha = _resolve_alpha(config, sources)
+    sample_length = _length_sampler(config.length_source, rng, sources)
     weights = _question_weights(config.question_weight_source,
-                                config.n_questions, rng)
+                                config.n_questions, rng, sources)
 
     question_cdf = choice_cdf(weights)
 
@@ -313,8 +323,9 @@ def generate(config: SimConfig) -> tuple[Community, dict[str, float]]:
         state.votes.append((j, sign, step))
         (pos if sign > 0 else neg)[j] += 1
 
-    community = replay_community((s.question_id, tuple(s.answers), s.votes)
-                                 for s in states if s.answers)
+    community = replay_community(
+        QuestionTrajectory(s.question_id, tuple(s.answers), tuple(s.votes))
+        for s in states if s.answers)
     return community, truth
 
 
@@ -330,13 +341,12 @@ def scale_truth(truth: dict[str, float]) -> dict[str, float]:
             for aid, v in truth.items()}
 
 
-def estimate_crp_alpha(trajectories: Iterable[QuestionTrajectory]) -> float:
+def estimate_crp_alpha(community: Community) -> float:
     """Maximum-likelihood concentration from answers-vs-events counts.
 
     Solves sum_q J_q = sum_q sum_{k=0}^{n_q-1} alpha/(alpha+k) by
     bisection; J_q counts answers, n_q counts answers plus votes.
     """
-    community = as_community(trajectories)
     n_answers = [len(answers) for answers in community.answers]
     if not n_answers:
         raise ValueError("need at least one trajectory")
@@ -392,7 +402,9 @@ def toy_scenario(name: str) -> Community:
         raise ValueError(f"unknown toy scenario {name!r} "
                          "(expected s1a, s1b or s2)")
     return replay_community(
-        (qid, tuple(Answer(aid, creation_time=k, text_length=100)
-                    for k, aid in enumerate(answer_ids, start=1)),
-         [(j, sign, 10 * t) for t, (j, sign) in enumerate(votes, start=1)])
+        QuestionTrajectory(
+            qid, tuple(Answer(aid, creation_time=k, text_length=100)
+                       for k, aid in enumerate(answer_ids, start=1)),
+            tuple((j, sign, 10 * t)
+                  for t, (j, sign) in enumerate(votes, start=1)))
         for qid, answer_ids, votes in _TOYS[name])

@@ -12,17 +12,17 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .configio import InputError, finite_float, parse_typed
-from .model import (CommunityModel, EncodedEvents, Event, EventColumns,
+from .model import (CommunityModel, EncodedEvents, EventColumns,
                     ParameterIndex, curvature_bound_product,
                     objective_and_grad)
 from .simulate import toy_scenario
-from .trajectory import Community, QuestionTrajectory, as_community
+from .trajectory import Community, replay_community
 
 log = logging.getLogger(__name__)
 
@@ -103,26 +103,21 @@ def _select_events(community: Community, drop_first: bool,
     return EventColumns(community, np.flatnonzero(keep))
 
 
-def training_events(trajs: Iterable[QuestionTrajectory],
-                    drop_first: bool = True) -> Sequence[Event]:
-    """The ((qid, aid), v, ctx) training triples of the trajectories, in
-    order, as rows of their Community."""
-    return _select_events(as_community(trajs), drop_first)
+def training_events(community: Community,
+                    drop_first: bool = True) -> EventColumns:
+    """The community's votes to train on, in row order."""
+    return _select_events(community, drop_first)
 
 
-def fit_events(events: Sequence[Event], config: FitConfig,
+def fit_events(events: EventColumns, config: FitConfig,
                callback: Optional[Callable[[int, float], None]] = None
                ) -> CommunityModel:
     """Fit a CommunityModel to pre-extracted training events."""
     if not events:
         raise NoTrainingEventsError("zero training events")
-    if isinstance(events, EventColumns):
-        q_keys, questions = events.q_keys, events.question_ids
-    else:
-        q_keys = [ids for ids, _, _ in events]
-        questions = [qid for (qid, _), _, _ in events]
-    nu_keys = questions if config.use_length else []
-    index = ParameterIndex(q_keys, nu_keys, freeze_beta=config.freeze_beta)
+    nu_keys = events.question_ids if config.use_length else []
+    index = ParameterIndex(events.q_keys, nu_keys,
+                           freeze_beta=config.freeze_beta)
     data = EncodedEvents(index, events)
 
     def fun(theta):
@@ -174,17 +169,16 @@ def fit_events(events: Sequence[Event], config: FitConfig,
     return index.unpack(x, config.l2_weight, fit_meta=meta)
 
 
-def fit(trajectories: Iterable[QuestionTrajectory], config: FitConfig,
+def fit(community: Community, config: FitConfig,
         callback: Optional[Callable[[int, float], None]] = None
         ) -> CommunityModel:
-    """Fit from trajectories, dropping first votes per the config."""
-    events = training_events(trajectories,
-                             drop_first=config.drop_first_votes)
+    """Fit a community, dropping first votes per the config."""
+    events = training_events(community, drop_first=config.drop_first_votes)
     return fit_events(events, config, callback=callback)
 
 
-def fit_prefixes(trajectories: Iterable[QuestionTrajectory],
-                 config: FitConfig, prefix_ticks: Sequence[int]
+def fit_prefixes(community: Community, config: FitConfig,
+                 prefix_ticks: Sequence[int]
                  ) -> list[tuple[int, CommunityModel]]:
     """One independent fit per prefix tick.
 
@@ -193,7 +187,6 @@ def fit_prefixes(trajectories: Iterable[QuestionTrajectory],
     """
     if list(prefix_ticks) != sorted(prefix_ticks):
         raise ValueError("prefix_ticks must be ascending")
-    community = as_community(trajectories)
     out = []
     for tick in prefix_ticks:
         # time indices ascend within a question, so an answer's first
@@ -224,9 +217,9 @@ def toy_quality_curves(name: str, config: Optional[FitConfig] = None,
     """
     if config is None:
         config = FitConfig(use_length=False)
-    trajs = toy_scenario(name)
-    groups = [[t] for t in trajs] if all(len(t.answers) == 1
-                                         for t in trajs) else [trajs]
+    community = toy_scenario(name)
+    groups = [replay_community([t]) for t in community] \
+        if all(len(a) == 1 for a in community.answers) else [community]
     rows = []
     for group in groups:
         for tick, model in fit_prefixes(group, config, ticks):

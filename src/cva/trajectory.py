@@ -1,12 +1,14 @@
 """In-memory data model for helpfulness-voting trajectories.
 
 A question owns an ordered list of answers and a chronological stream of
-vote events. Every event can be annotated with the context a voter saw at
-that instant: the answer's displayed rank, its perceived positive-vote
+votes. A `QuestionTrajectory` is that raw record: each vote is an
+(answer_index, sign, timestamp) triple, as one JSONL line holds it.
+Replaying a question's records validates them and works out the context
+each voter saw: the answer's displayed rank, its perceived positive-vote
 ratio, and its length relative to the answers coexisting at that moment.
-Context reconstruction is deterministic and uses strictly earlier events
-only, so replaying it is idempotent. A `Community` holds a whole
-community's votes and contexts as columns, which every stage reads.
+The replay is deterministic and uses strictly earlier votes only. A
+`Community` holds a whole community's votes and contexts as columns,
+which every stage reads; iterating it yields the raw records again.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -41,30 +43,14 @@ class Answer:
 
 
 @dataclass(frozen=True)
-class VoteContext:
-    """What the voter saw right before casting the vote."""
-
-    rank: int            # 1-based displayed rank
-    pos_ratio: float     # prior positive-vote ratio, 0.5 with no priors
-    rel_length: float    # centered log-length, clipped to +-REL_LENGTH_CLIP
-    prior_pos: int
-    prior_neg: int
-
-
-@dataclass(frozen=True)
-class VoteEvent:
-    answer_index: int
-    time_index: int      # 1-based, contiguous within the question
-    sign: int            # +1 or -1
-    timestamp: int
-    context: Optional[VoteContext] = None
-
-
-@dataclass(frozen=True)
 class QuestionTrajectory:
+    """One question as recorded: its answers in creation order and its
+    votes as (answer_index, sign, timestamp) triples in chronological
+    order. `replay_community` validates it and adds the contexts."""
+
     question_id: str
     answers: tuple[Answer, ...]
-    events: tuple[VoteEvent, ...]
+    events: tuple[tuple[int, int, int], ...]
 
     def accepted_answer_index(self) -> Optional[int]:
         for idx, ans in enumerate(self.answers):
@@ -212,34 +198,6 @@ class _Columns:
         self.n_events.append(n)
         self.time_index.extend(range(1, n + 1))
 
-    def reconstruct(self, traj: QuestionTrajectory) -> None:
-        """Append one question, replayed from its events' answer indices,
-        signs and timestamps."""
-        for pos, ev in enumerate(traj.events):
-            if ev.time_index != pos + 1:
-                raise MalformedTrajectoryError(
-                    f"{traj.question_id}: time_index not contiguous from 1")
-        self.replay(traj.question_id, traj.answers,
-                    ((ev.answer_index, ev.sign, ev.timestamp)
-                     for ev in traj.events))
-
-    def add(self, traj: QuestionTrajectory) -> None:
-        """Append one question whose events all carry their context."""
-        for ev in traj.events:
-            ctx = ev.context
-            self.answer_index.append(ev.answer_index)
-            self.sign.append(ev.sign)
-            self.timestamp.append(ev.timestamp)
-            self.time_index.append(ev.time_index)
-            self.rank.append(ctx.rank)
-            self.pos_ratio.append(ctx.pos_ratio)
-            self.rel_length.append(ctx.rel_length)
-            self.prior_pos.append(ctx.prior_pos)
-            self.prior_neg.append(ctx.prior_neg)
-        self.question_ids.append(traj.question_id)
-        self.answers.append(traj.answers)
-        self.n_events.append(len(traj.events))
-
     def community(self) -> "Community":
         ints = {name: np.frombuffer(getattr(self, name), dtype=np.int64)
                 for name in ("answer_index", "sign", "timestamp",
@@ -263,8 +221,8 @@ class Community(Sequence[QuestionTrajectory]):
     Answer slots number the community's answers question by question in
     answer order; `answer_keys[slot]` is (question_id, answer_id).
 
-    It is also a read-only sequence of QuestionTrajectory, each built on
-    access with every event's context.
+    It is also a read-only sequence of the questions' raw records
+    (QuestionTrajectory), each built on access from column slices.
     """
 
     def __init__(self, question_ids: tuple[str, ...],
@@ -309,82 +267,40 @@ class Community(Sequence[QuestionTrajectory]):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
         i = range(len(self))[i]
-        lo, hi = int(self.event_starts[i]), int(self.event_starts[i + 1])
-        rows = slice(lo, hi)
-        events = tuple(
-            VoteEvent(j, k, s, ts, VoteContext(r, p, rel, n_pos, n_neg))
-            for j, k, s, ts, r, p, rel, n_pos, n_neg in zip(
-                *(column[rows].tolist() for column in (
-                    self.answer_index, self.time_index, self.sign,
-                    self.timestamp, self.rank, self.pos_ratio,
-                    self.rel_length, self.prior_pos, self.prior_neg))))
+        rows = slice(self.event_starts[i], self.event_starts[i + 1])
+        events = tuple(zip(self.answer_index[rows].tolist(),
+                           self.sign[rows].tolist(),
+                           self.timestamp[rows].tolist()))
         return QuestionTrajectory(self.question_ids[i], self.answers[i],
                                   events)
 
     def final_rel_lengths(self) -> list[float]:
-        """`final_rel_lengths` of every answer, by answer slot."""
-        return [rel for ans in self.answers
-                for rel in _final_rel_length_values(ans)]
+        """Every answer's relative length at the end of its question, by
+        answer slot: its log-length centred over all the question's
+        answers, clipped as the contexts are."""
+        out = []
+        for answers in self.answers:
+            log_len = [math.log(a.text_length) for a in answers]
+            mean_ll = sequential_sum(log_len) / max(len(log_len), 1)
+            out += [max(-REL_LENGTH_CLIP, min(REL_LENGTH_CLIP, ll - mean_ll))
+                    for ll in log_len]
+        return out
 
 
-def as_community(trajectories: Iterable[QuestionTrajectory]) -> Community:
-    """The columns every stage reads: a Community unchanged, otherwise
-    one built from the trajectories in order. A trajectory with an event
-    that lacks its context is replayed as `reconstruct_contexts` does."""
-    if isinstance(trajectories, Community):
-        return trajectories
+def replay_community(trajectories: Iterable[QuestionTrajectory]
+                     ) -> Community:
+    """The Community of `trajectories`, each validated and replayed by
+    `_replay` as `read_trajectories` replays a line."""
     cols = _Columns()
     for traj in trajectories:
-        if any(ev.context is None for ev in traj.events):
-            cols.reconstruct(traj)
-        else:
-            cols.add(traj)
+        cols.replay(traj.question_id, traj.answers, traj.events)
     return cols.community()
 
 
-def replay_community(questions: Iterable[tuple]) -> Community:
-    """The Community of `questions`, (question_id, answers, raw events)
-    triples, each validated and replayed by `_replay` as
-    `read_trajectories` replays a line."""
-    cols = _Columns()
-    for question_id, answers, raw_events in questions:
-        cols.replay(question_id, answers, raw_events)
-    return cols.community()
-
-
-def reconstruct_contexts(traj: QuestionTrajectory) -> QuestionTrajectory:
-    """Return a copy whose events carry the context each voter saw.
-
-    Contexts are computed from strictly earlier events only, so running
-    this twice yields bit-identical results.
-    """
-    cols = _Columns()
-    cols.reconstruct(traj)
-    return cols.community()[0]
-
-
-def drop_first_votes(traj: QuestionTrajectory) -> QuestionTrajectory:
-    """Drop each answer's chronologically first vote.
-
-    The surviving events keep the contexts they were given against the
-    full history; only the event list shrinks.
-    """
-    seen: set[int] = set()
-    kept = []
-    for ev in traj.events:
-        if ev.answer_index in seen:
-            kept.append(ev)
-        else:
-            seen.add(ev.answer_index)
-    return replace(traj, events=tuple(kept))
-
-
-def final_vote_diffs(traj: QuestionTrajectory) -> dict[str, int]:
-    """Final (positive - negative) vote count per answer_id."""
-    diffs = [0] * len(traj.answers)
-    for ev in traj.events:
-        diffs[ev.answer_index] += ev.sign
-    return {a.answer_id: d for a, d in zip(traj.answers, diffs)}
+def reconstruct_contexts(traj: QuestionTrajectory) -> Community:
+    """The one-question Community of `traj`. No stage calls it; the
+    benchmark's tracer still times calls to this name."""
+    return replay_community((traj,))
 
 
 def sequential_sum(values: Iterable[float]) -> float:
@@ -395,25 +311,6 @@ def sequential_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
-
-
-def _final_rel_length_values(answers: Sequence[Answer]) -> list[float]:
-    if not answers:
-        return []
-    log_len = [math.log(a.text_length) for a in answers]
-    mean_ll = sequential_sum(log_len) / len(log_len)
-    return [max(-REL_LENGTH_CLIP, min(REL_LENGTH_CLIP, ll - mean_ll))
-            for ll in log_len]
-
-
-def final_rel_lengths(traj: QuestionTrajectory) -> dict[str, float]:
-    """End-of-trajectory relative length per answer_id.
-
-    Centered log-length over all answers of the question, clipped the same
-    way as event contexts.
-    """
-    return {a.answer_id: rel for a, rel in
-            zip(traj.answers, _final_rel_length_values(traj.answers))}
 
 
 # --- JSONL wire format -------------------------------------------------
@@ -442,14 +339,8 @@ def trajectory_to_json_line(traj: QuestionTrajectory) -> str:
             }
             for a in traj.answers
         ],
-        "events": [
-            {
-                "answer_index": ev.answer_index,
-                "timestamp": ev.timestamp,
-                "sign": ev.sign,
-            }
-            for ev in traj.events
-        ],
+        "events": [{"answer_index": j, "timestamp": ts, "sign": sign}
+                   for j, sign, ts in traj.events],
     }
     return json.dumps(obj, separators=(",", ":"))
 
@@ -473,6 +364,8 @@ def _replay_json(cols: _Columns, obj: dict) -> None:
 
 
 def write_trajectories(trajs: Iterable[QuestionTrajectory], path) -> None:
+    """Write one JSONL line per record, e.g. per question of a Community.
+    The records are written as given, not validated."""
     with open(path, "w", encoding="utf-8") as fh:
         for traj in trajs:
             fh.write(trajectory_to_json_line(traj))

@@ -67,24 +67,24 @@ def paired_significance(deltas, seed):
     return SignificanceResult(p=p, n=n)
 
 
-def build_ranking_sets(trajectories, truth_scores, ranker_scores):
+def build_ranking_sets(questions, truth_scores, ranker_scores):
     sets = []
     skipped = 0
-    for traj in trajectories:
-        usable = [a.answer_id for a in traj.answers
+    for question_id, answers in questions:
+        usable = [a.answer_id for a in answers
                   if a.answer_id in truth_scores
-                  and all((traj.question_id, a.answer_id) in scores
+                  and all((question_id, a.answer_id) in scores
                           for scores in ranker_scores.values())]
         if len(usable) < 2:
             skipped += 1
             continue
         truth_ranks = rank_answers([truth_scores[aid] for aid in usable])
         ranks = {
-            name: rank_answers([scores[(traj.question_id, aid)]
+            name: rank_answers([scores[(question_id, aid)]
                                 for aid in usable])
             for name, scores in ranker_scores.items()
         }
-        sets.append(RankingSet(question_id=traj.question_id,
+        sets.append(RankingSet(question_id=question_id,
                                answer_ids=tuple(usable), ranks=ranks,
                                truth_ranks=truth_ranks))
     return sets, skipped

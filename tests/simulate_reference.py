@@ -2,10 +2,10 @@
 
 Each vote re-sorts its question's answers into display order, looks the
 voted answer's rank up in that order, rescans every answer's log length
-for the relative length and records the context it drew with in a
-VoteEvent. Kept as the reference that `generate`'s JSONL, truth and
-columns must match bit for bit; the seeded draws come from the same
-`cva.simulate` helpers, in the same order.
+for the relative length and records the context it drew with. Kept as
+the reference that `generate`'s JSONL, truth and columns must match bit
+for bit; the seeded draws come from the same `cva.simulate` helpers, in
+the same order.
 """
 
 import math
@@ -13,12 +13,12 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from cva.simulate import (_length_sampler, _question_weights,
-                          _resolve_alpha, choice_cdf, crp_new_answer,
-                          draw_index, pick_inverse_rank)
+from cva.simulate import (_empirical_sources, _length_sampler,
+                          _question_weights, _resolve_alpha, choice_cdf,
+                          crp_new_answer, draw_index, pick_inverse_rank)
 from cva.trajectory import (NEUTRAL_POS_RATIO, REL_LENGTH_CLIP, Answer,
-                            QuestionTrajectory, VoteContext, VoteEvent,
-                            sequential_sum)
+                            QuestionTrajectory, sequential_sum)
+from conftest import Context
 
 
 class _QuestionState:
@@ -29,6 +29,7 @@ class _QuestionState:
         self.pos = []
         self.neg = []
         self.events = []
+        self.contexts = []
         self.n_crp_events = 0  # answers written + votes cast
 
     def display_order(self):
@@ -44,14 +45,15 @@ class _QuestionState:
 
 
 def reference_generate(config):
-    """(trajectories whose events carry the context each vote was drawn
-    with, answer_id -> true quality)."""
+    """(trajectories, the context each of their votes was drawn with,
+    question by question, answer_id -> true quality)."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    alpha = _resolve_alpha(config)
-    sample_length = _length_sampler(config.length_source, rng)
+    sources = _empirical_sources(config)
+    alpha = _resolve_alpha(config, sources)
+    sample_length = _length_sampler(config.length_source, rng, sources)
     weights = _question_weights(config.question_weight_source,
-                                config.n_questions, rng)
+                                config.n_questions, rng, sources)
     question_cdf = choice_cdf(weights)
     states = [_QuestionState(f"q{i:04d}") for i in range(config.n_questions)]
     truth = {}
@@ -80,19 +82,19 @@ def reference_generate(config):
                  + config.true_nu * rel_len
                  + config.true_beta / (1.0 + rank))
             positive = rng.random() < expit(x)
-            ctx = VoteContext(rank=rank, pos_ratio=ratio, rel_length=rel_len,
-                              prior_pos=state.pos[j], prior_neg=state.neg[j])
-            state.events.append(VoteEvent(
-                answer_index=j, time_index=len(state.events) + 1,
-                sign=+1 if positive else -1, timestamp=step, context=ctx))
+            state.contexts.append(Context(
+                rank=rank, pos_ratio=ratio, rel_length=rel_len,
+                prior_pos=state.pos[j], prior_neg=state.neg[j]))
+            state.events.append((j, +1 if positive else -1, step))
             if positive:
                 state.pos[j] += 1
             else:
                 state.neg[j] += 1
         state.n_crp_events += 1
+    played = [s for s in states if s.answers]
     trajectories = [
         QuestionTrajectory(question_id=s.question_id,
                            answers=tuple(s.answers), events=tuple(s.events))
-        for s in states if s.answers
+        for s in played
     ]
-    return trajectories, truth
+    return trajectories, [s.contexts for s in played], truth

@@ -17,8 +17,9 @@ from cva.model import CommunityModel, objective_and_grad
 from cva.simulate import SimConfig, crp_new_answer, estimate_crp_alpha, \
     generate
 from cva.trainer import FitConfig, TOY_TICKS, fit, toy_quality_curves
-from cva.trajectory import write_trajectories, reconstruct_contexts
-from conftest import GOLDEN_DIR, event_prob, oracle_rank, random_trajectory
+from cva.trajectory import replay_community, write_trajectories
+from conftest import (GOLDEN_DIR, contexts, event_prob, oracle_rank,
+                      random_trajectory)
 from test_bias import traj_with_context_events
 from test_evaluation import brute_force_tau_b
 from test_model import ctx as make_ctx, fd_gradient, random_instance
@@ -152,16 +153,16 @@ def test_criterion_4_oracle_equivalences():
             p = event_prob(model, "q", "q-a", c)
             odds = p / (1.0 - p)
             product *= odds if c.prior_pos >= c.prior_neg else 1.0 / odds
-        assert herding_degree(model, [traj], drop_first=False) == \
+        assert herding_degree(model, traj, drop_first=False) == \
             pytest.approx(product ** (1.0 / n), rel=1e-12)
 
     # displayed ranks: instant re-sort oracle over 1,000 random streams
     rng = np.random.default_rng(4096)
     n_rank_checks = 0
     for _ in range(1000):
-        traj = reconstruct_contexts(random_trajectory(rng))
-        for pos, ev in enumerate(traj.events):
-            assert ev.context.rank == oracle_rank(traj, pos)
+        traj = random_trajectory(rng)
+        for pos, ctx in enumerate(contexts(replay_community([traj]))):
+            assert ctx.rank == oracle_rank(traj, pos)
             n_rank_checks += 1
     print(f"\nPASS criterion 4: oracle equivalences (tau on "
           f"{n_perm_checks} permutations; herding product form on 50 "

@@ -9,27 +9,31 @@ from cva.bias import (BiasProfile, NoEventsToScoreError, herding_degree,
 from cva.model import CommunityModel
 from cva.simulate import SimConfig, generate
 from cva.trainer import FitConfig, fit
-from cva.trajectory import (Answer, QuestionTrajectory, VoteContext,
-                            VoteEvent, drop_first_votes)
-from conftest import event_prob
+from cva.trajectory import Answer
+from conftest import Context, community_of, event_prob
 
 LOG4 = math.log(4.0)  # sigmoid(log 4) = 0.8
 
 
-def traj_with_context_events(contexts_and_signs, question_id="q"):
+def question_with_contexts(contexts_and_signs, question_id="q"):
+    """One single-answer question whose votes carry the given contexts;
+    pass a list of these to `community_of`."""
     answers = (Answer(f"{question_id}-a", creation_time=0,
                       text_length=100),)
-    events = tuple(
-        VoteEvent(0, k + 1, sign, 100 + k, context=c)
-        for k, (c, sign) in enumerate(contexts_and_signs))
-    return QuestionTrajectory(question_id, answers, events)
+    return (question_id, answers,
+            [(0, sign, c) for c, sign in contexts_and_signs])
+
+
+def traj_with_context_events(contexts_and_signs, question_id="q"):
+    return community_of([question_with_contexts(contexts_and_signs,
+                                                question_id)])
 
 
 def ctx(pos, neg, rank=1, ratio=None):
     if ratio is None:
         ratio = pos / (pos + neg) if pos + neg else 0.5
-    return VoteContext(rank=rank, pos_ratio=ratio, rel_length=0.0,
-                       prior_pos=pos, prior_neg=neg)
+    return Context(rank=rank, pos_ratio=ratio, rel_length=0.0,
+                   prior_pos=pos, prior_neg=neg)
 
 
 class TestHerdingDegree:
@@ -38,26 +42,26 @@ class TestHerdingDegree:
         model = CommunityModel(q={"q": {"q-a": LOG4}}, nu={"q": 0.0})
         traj = traj_with_context_events([(ctx(1, 0, ratio=0.0), +1),
                                          (ctx(2, 0, ratio=0.0), +1)])
-        assert herding_degree(model, [traj], drop_first=False) == \
+        assert herding_degree(model, traj, drop_first=False) == \
             pytest.approx(4.0, rel=1e-12)
 
     def test_coin_flip_probabilities_give_unit_degree(self):
         model = CommunityModel(q={"q": {"q-a": 0.0}}, nu={"q": 0.0})
         traj = traj_with_context_events([(ctx(3, 0, ratio=0.0), +1),
                                          (ctx(0, 3, ratio=0.0), -1)])
-        assert herding_degree(model, [traj], drop_first=False) == 1.0
+        assert herding_degree(model, traj, drop_first=False) == 1.0
 
     def test_opposite_majorities_cancel(self):
         model = CommunityModel(q={"q": {"q-a": LOG4}}, nu={"q": 0.0})
         traj = traj_with_context_events([(ctx(1, 0, ratio=0.0), +1),
                                          (ctx(0, 1, ratio=0.0), +1)])
-        assert herding_degree(model, [traj], drop_first=False) == \
+        assert herding_degree(model, traj, drop_first=False) == \
             pytest.approx(1.0, rel=1e-12)
 
     def test_tied_priors_count_as_majority_positive(self):
         model = CommunityModel(q={"q": {"q-a": LOG4}}, nu={"q": 0.0})
         traj = traj_with_context_events([(ctx(2, 2, ratio=0.0), +1)])
-        assert herding_degree(model, [traj], drop_first=False) == \
+        assert herding_degree(model, traj, drop_first=False) == \
             pytest.approx(4.0, rel=1e-12)
 
     def test_matches_product_form_oracle(self, rng):
@@ -70,10 +74,10 @@ class TestHerdingDegree:
             pairs = []
             for _ in range(n):
                 pos, neg = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-                c = VoteContext(rank=int(rng.integers(1, 6)),
-                                pos_ratio=float(rng.random()),
-                                rel_length=float(rng.uniform(-3, 3)),
-                                prior_pos=pos, prior_neg=neg)
+                c = Context(rank=int(rng.integers(1, 6)),
+                            pos_ratio=float(rng.random()),
+                            rel_length=float(rng.uniform(-3, 3)),
+                            prior_pos=pos, prior_neg=neg)
                 pairs.append((c, +1 if rng.random() < 0.5 else -1))
             traj = traj_with_context_events(pairs)
             product = 1.0
@@ -82,24 +86,24 @@ class TestHerdingDegree:
                 odds = p / (1.0 - p)
                 product *= odds if c.prior_pos >= c.prior_neg else 1 / odds
             expected = product ** (1.0 / n)
-            got = herding_degree(model, [traj], drop_first=False)
+            got = herding_degree(model, traj, drop_first=False)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_order_invariance(self, rng):
         model = CommunityModel(q={"qA": {"qA-a": 0.4}, "qB": {"qB-a": -.2}},
                                nu={"qA": 0.0, "qB": 0.0}, lam=0.8, beta=0.5)
-        t1 = traj_with_context_events([(ctx(1, 0), +1), (ctx(2, 0), -1)],
-                                      question_id="qA")
-        t2 = traj_with_context_events([(ctx(0, 2, ratio=0.0), -1)],
-                                      question_id="qB")
-        a = herding_degree(model, [t1, t2], drop_first=False)
-        b = herding_degree(model, [t2, t1], drop_first=False)
+        t1 = question_with_contexts([(ctx(1, 0), +1), (ctx(2, 0), -1)],
+                                    question_id="qA")
+        t2 = question_with_contexts([(ctx(0, 2, ratio=0.0), -1)],
+                                    question_id="qB")
+        a = herding_degree(model, community_of([t1, t2]), drop_first=False)
+        b = herding_degree(model, community_of([t2, t1]), drop_first=False)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_zero_events_error(self):
         model = CommunityModel()
         with pytest.raises(ValueError):
-            herding_degree(model, [])
+            herding_degree(model, community_of([]))
 
     def test_votes_on_unmodelled_answers_skipped(self, caplog):
         # the model lacks answer q-b and question r: their votes are
@@ -108,35 +112,34 @@ class TestHerdingDegree:
         on_a = [(ctx(1, 0, ratio=0.0), +1), (ctx(0, 1, ratio=0.2), -1),
                 (ctx(2, 1, ratio=0.7), +1)]
         on_b = [(ctx(0, 0), +1), (ctx(1, 0, ratio=0.4), -1)]
-        events = tuple(
-            VoteEvent(i, k + 1, sign, 100 + k, context=c)
-            for k, (i, (c, sign)) in enumerate(
-                [(0, on_a[0]), (1, on_b[0]), (0, on_a[1]), (1, on_b[1]),
-                 (0, on_a[2])]))
-        mixed = QuestionTrajectory(
-            "q", (Answer("q-a", creation_time=0, text_length=100),
-                  Answer("q-b", creation_time=1, text_length=100)), events)
-        other = traj_with_context_events(on_b, question_id="r")
+        votes = [(i, sign, c) for i, (c, sign) in
+                 [(0, on_a[0]), (1, on_b[0]), (0, on_a[1]), (1, on_b[1]),
+                  (0, on_a[2])]]
+        mixed = ("q", (Answer("q-a", creation_time=0, text_length=100),
+                       Answer("q-b", creation_time=1, text_length=100)),
+                 votes)
+        other = question_with_contexts(on_b, question_id="r")
+        both = community_of([mixed, other])
         alone = traj_with_context_events(on_a)
         with caplog.at_level(logging.WARNING, logger="cva.bias"):
-            got = herding_degree(model, [mixed, other], drop_first=False)
-        assert got == herding_degree(model, [alone], drop_first=False)
+            got = herding_degree(model, both, drop_first=False)
+        assert got == herding_degree(model, alone, drop_first=False)
         assert [r.getMessage() for r in caplog.records] == [
             "2 answers not in model, their 4 votes skipped (first: q/q-b)"]
-        assert profile_community(model, [mixed, other]).n_events == \
-            profile_community(model, [alone]).n_events == 2
+        assert profile_community(model, both).n_events == \
+            profile_community(model, alone).n_events == 2
 
     def test_no_modelled_answer_error(self):
         traj = traj_with_context_events([(ctx(0, 0), +1)])
         with pytest.raises(NoEventsToScoreError):
-            herding_degree(CommunityModel(), [traj], drop_first=False)
+            herding_degree(CommunityModel(), traj, drop_first=False)
 
     def test_uses_first_vote_dropped_set_by_default(self):
         model = CommunityModel(q={"q": {"q-a": LOG4}}, nu={"q": 0.0})
         traj = traj_with_context_events([(ctx(0, 0), +1),
                                          (ctx(1, 0, ratio=0.0), +1),
                                          (ctx(2, 0, ratio=0.0), +1)])
-        assert herding_degree(model, [traj]) == pytest.approx(4.0,
+        assert herding_degree(model, traj) == pytest.approx(4.0,
                                                               rel=1e-12)
 
     def test_herding_community_scores_higher(self):
@@ -177,8 +180,8 @@ class TestProfile:
         trajs, _ = generate(cfg)
         model = fit(trajs, FitConfig())
         profile = profile_community(model, trajs)
-        expected = sum(len(drop_first_votes(t).events) for t in trajs)
-        assert profile.n_events == expected
+        first_votes = sum(len({j for j, _, _ in t.events}) for t in trajs)
+        assert profile.n_events == len(trajs.sign) - first_votes
 
     def test_json_round_trip(self, tmp_path):
         p = BiasProfile(community="c", position_sensitivity=1.5,

@@ -10,7 +10,7 @@ import pytest
 import cva
 from cva.cli import main
 from cva.model import load_model
-from cva.trajectory import VoteContext, VoteEvent
+from cva.trajectory import QuestionTrajectory
 from conftest import GOLDEN_DIR
 
 SIM_CFG = """\
@@ -513,15 +513,14 @@ class TestInputErrors:
 
 class TestNoPerVoteObjects:
     """Commands that read a trajectory file work on its columns and build
-    no VoteEvent or VoteContext."""
+    no per-question record."""
 
     def test_commands_construct_none(self, workspace, tmp_path,
                                      monkeypatch):
         def refuse(self, *args, **kwargs):
             raise AssertionError(f"{type(self).__name__} constructed")
 
-        monkeypatch.setattr(VoteEvent, "__init__", refuse)
-        monkeypatch.setattr(VoteContext, "__init__", refuse)
+        monkeypatch.setattr(QuestionTrajectory, "__init__", refuse)
         T, model = workspace / "T.jsonl", workspace / "model.json"
         commands = [
             ("fit", "--input", T, "--out", tmp_path / "m.json"),

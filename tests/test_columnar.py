@@ -1,6 +1,7 @@
 """Every stage reads a community's columns; each is checked here against
-the per-vote walk over trajectory dataclasses that it replaced, with
-equal results required bit for bit."""
+a per-vote walk over the raw records and their reference contexts, as
+the stages computed before they read columns, with equal results
+required bit for bit."""
 
 import math
 from dataclasses import replace
@@ -16,11 +17,11 @@ from cva.evaluation import (RANKER_CVA, RANKER_NO_POSITION, RANKER_VOTE_DIFF,
 from cva.model import (CommunityModel, EncodedEvents, ParameterIndex,
                        model_to_json, vote_probs)
 from cva.simulate import SimConfig, generate
-from cva.trainer import FitConfig, fit_events, fit_prefixes, \
-    training_events
-from cva.trajectory import (drop_first_votes, final_rel_lengths,
-                            final_vote_diffs, read_trajectories,
+from cva.trainer import FitConfig, fit, fit_prefixes, training_events
+from cva.trajectory import (REL_LENGTH_CLIP, read_trajectories,
+                            replay_community, sequential_sum,
                             write_trajectories)
+from conftest import contexts, reference_contexts
 from evaluation_reference import build_ranking_sets, score_rankings
 from test_counterfactual import brute_force_quality
 
@@ -43,19 +44,20 @@ def community(tmp_path_factory):
     return read_trajectories(path), trajs, model
 
 
-def dataclass_events(trajs, drop_first=True, tick=None):
-    """The training triples by walking the events."""
+def walk_events(trajs, drop_first=True):
+    """((qid, aid), v, context) of the votes, walking each record's votes
+    with their reference contexts; v is 1 for a positive vote."""
     events = []
     for traj in trajs:
-        if tick is not None:
-            traj = replace(traj, events=tuple(
-                ev for ev in traj.events if ev.time_index <= tick))
-        if drop_first:
-            traj = drop_first_votes(traj)
-        for ev in traj.events:
-            aid = traj.answers[ev.answer_index].answer_id
-            events.append(((traj.question_id, aid), 1 if ev.sign > 0 else 0,
-                           ev.context))
+        seen = set()
+        for (j, sign, _), ctx in zip(traj.events, reference_contexts(traj)):
+            first = j not in seen
+            seen.add(j)
+            if drop_first and first:
+                continue
+            aid = traj.answers[j].answer_id
+            events.append(((traj.question_id, aid), 1 if sign > 0 else 0,
+                           ctx))
     return events
 
 
@@ -65,7 +67,21 @@ def index_of(events, use_length=True, freeze_beta=None):
                           if use_length else [], freeze_beta=freeze_beta)
 
 
-ENCODED = ("v", "ratio", "length", "inv_rank", "q_slot", "nu_slot")
+def encode_walk(index, events) -> dict:
+    """The arrays EncodedEvents gathers, built event by event."""
+    return {
+        "v": np.asarray([v for _, v, _ in events], dtype=float),
+        "ratio": np.asarray([c.pos_ratio for _, _, c in events],
+                            dtype=float),
+        "length": np.asarray([c.rel_length for _, _, c in events],
+                             dtype=float),
+        "inv_rank": np.asarray([1.0 / (1.0 + c.rank) for _, _, c in events],
+                               dtype=float),
+        "q_slot": np.asarray([index.q_slot(key) for key, _, _ in events],
+                             dtype=int),
+        "nu_slot": np.asarray([index.nu_slot(qid) if qid in index._nu_pos
+                               else -1 for (qid, _), _, _ in events],
+                              dtype=int)}
 
 
 class TestFitInputs:
@@ -75,7 +91,7 @@ class TestFitInputs:
     def test_encoded_arrays_byte_identical(self, community, drop_first,
                                            use_length, freeze_beta):
         c, trajs, _ = community
-        want_events = dataclass_events(trajs, drop_first)
+        want_events = walk_events(trajs, drop_first)
         index = index_of(want_events, use_length, freeze_beta)
         got_events = training_events(c, drop_first=drop_first)
         assert len(got_events) == len(want_events)
@@ -83,17 +99,17 @@ class TestFitInputs:
         assert sorted(got_events.question_ids) == index_of(
             want_events).nu_keys
         got = EncodedEvents(index, got_events)
-        want = EncodedEvents(index, want_events)
-        for name in ENCODED:
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype, name
-            assert a.tobytes() == b.tobytes(), name
+        for name, want in encode_walk(index, want_events).items():
+            a = getattr(got, name)
+            assert a.dtype == want.dtype, name
+            assert a.tobytes() == want.tobytes(), name
 
-    def test_events_built_on_access(self, community):
+    def test_rows_are_the_walked_events(self, community):
         c, trajs, _ = community
         got = training_events(c)
-        assert list(got) == dataclass_events(trajs)
-        assert got[-1] == dataclass_events(trajs)[-1]
+        ctx = contexts(c)
+        assert [(c.answer_keys[c.answer_slot[r]], int(c.sign[r] > 0),
+                 ctx[r]) for r in got.rows.tolist()] == walk_events(trajs)
 
     def test_prefix_fits_match(self, community):
         c, trajs, _ = community
@@ -102,38 +118,42 @@ class TestFitInputs:
         got = fit_prefixes(c, config, ticks)
         assert [t for t, _ in got] == ticks
         for tick, model in got:
-            want = fit_events(dataclass_events(trajs, tick=tick), config)
-            assert model_to_json(model) == model_to_json(want)
+            # a prefix's contexts are its own replay's
+            prefix = replay_community(replace(t, events=t.events[:tick])
+                                      for t in trajs)
+            assert model_to_json(model) == model_to_json(fit(prefix,
+                                                             config))
 
 
-def dataclass_herding(model, trajs, drop_first):
+def walk_herding(model, trajs, drop_first):
     rows = []
-    for traj in trajs:
-        if drop_first:
-            traj = drop_first_votes(traj)
-        for ev in traj.events:
-            aid = traj.answers[ev.answer_index].answer_id
-            ctx = ev.context
-            rows.append((model.quality(traj.question_id, aid),
-                         model.nu_for(traj.question_id), ctx.pos_ratio,
-                         ctx.rel_length, ctx.rank,
-                         1.0 if ctx.prior_pos >= ctx.prior_neg else -1.0))
+    for (qid, aid), _, ctx in walk_events(trajs, drop_first):
+        rows.append((model.quality(qid, aid), model.nu_for(qid),
+                     ctx.pos_ratio, ctx.rel_length, ctx.rank,
+                     1.0 if ctx.prior_pos >= ctx.prior_neg else -1.0))
     q, nu, ratio, length, rank, h = np.array(rows, dtype=float).T
     p = vote_probs(q, model.lam, ratio, nu, length, model.beta, rank)
     return math.exp(float(np.sum(h * np.log(p / (1.0 - p)))) / len(rows))
 
 
-def dataclass_curve(model, trajs, ranks, mood):
+def final_rel_lengths(traj) -> list[float]:
+    log_len = [math.log(a.text_length) for a in traj.answers]
+    mean_ll = sequential_sum(log_len) / len(log_len)
+    return [min(max(ll - mean_ll, -REL_LENGTH_CLIP), REL_LENGTH_CLIP)
+            for ll in log_len]
+
+
+def walk_curve(model, trajs, ranks, mood):
     rank_grid = np.arange(1, ranks + 1, dtype=float)
     total = np.zeros(ranks)
     n_answers = 0
     for traj in trajs:
         rel_len = final_rel_lengths(traj)
         by_answer = {}
-        for ev in traj.events:
-            r = ev.context.pos_ratio
+        for (j, _, _), ctx in zip(traj.events, reference_contexts(traj)):
+            r = ctx.pos_ratio
             if (mood == "pos" and r > 0.5) or (mood == "neg" and r < 0.5):
-                by_answer.setdefault(ev.answer_index, []).append(r)
+                by_answer.setdefault(j, []).append(r)
         for j, answer in enumerate(traj.answers):
             if not model.has_answer(traj.question_id, answer.answer_id):
                 continue
@@ -147,7 +167,7 @@ def dataclass_curve(model, trajs, ranks, mood):
                                               answer.answer_id),
                                 model.lam, ratio,
                                 model.nu_for(traj.question_id),
-                                rel_len[answer.answer_id], model.beta,
+                                rel_len[j], model.beta,
                                 rank_grid)
             n_answers += 1
     return [float(p) for p in total / n_answers], n_answers
@@ -157,11 +177,12 @@ class TestScoreStages:
     def test_population(self, community):
         c, trajs, _ = community
         pop = build_population(c)
-        events = [ev for t in trajs for ev in t.events]
-        want = (np.array([ev.context.pos_ratio for ev in events]),
-                np.array([ev.context.rank for ev in events], dtype=float),
-                np.array([ev.context.rel_length for ev in events]),
-                np.array([ev.time_index for ev in events]))
+        ctx = [x for t in trajs for x in reference_contexts(t)]
+        want = (np.array([x.pos_ratio for x in ctx]),
+                np.array([x.rank for x in ctx], dtype=float),
+                np.array([x.rel_length for x in ctx]),
+                np.array([k for t in trajs
+                          for k in range(1, len(t.events) + 1)]))
         for a, b in zip((pop.ratios, pop.ranks, pop.lengths, pop.times),
                         want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -175,7 +196,7 @@ class TestScoreStages:
                               beta=model.beta)
         for drop_first in (True, False):
             assert herding_degree(full, c, drop_first=drop_first) == \
-                dataclass_herding(full, trajs, drop_first)
+                walk_herding(full, trajs, drop_first)
 
     @pytest.mark.parametrize("aggregate", ["mean", "per_time_sum"])
     def test_quality(self, community, aggregate):
@@ -191,7 +212,7 @@ class TestScoreStages:
     def test_counterfactual_curve(self, community, mood):
         c, trajs, model = community
         result = counterfactual_curve(model, c, 7, mood)
-        probs, n_answers = dataclass_curve(model, trajs, 7, mood)
+        probs, n_answers = walk_curve(model, trajs, 7, mood)
         assert result.n_answers == n_answers > 0
         assert [p for _, p in result.points] == probs
 
@@ -202,14 +223,21 @@ class TestScoreStages:
         got = evaluate_rankers(c, model, model, truth, seed=1,
                                cva_score="q")
         pop = build_population(trajs)
+        diffs = {}
+        for t in trajs:
+            for j, sign, _ in t.events:
+                key = (t.question_id, t.answers[j].answer_id)
+                diffs[key] = diffs.get(key, 0) + sign
         scores = {
-            RANKER_VOTE_DIFF: {(t.question_id, aid): float(d)
-                               for t in trajs
-                               for aid, d in final_vote_diffs(t).items()},
+            RANKER_VOTE_DIFF: {(t.question_id, a.answer_id):
+                               float(diffs.get((t.question_id, a.answer_id),
+                                               0))
+                               for t in trajs for a in t.answers},
             RANKER_CVA: {(qid, aid): q for qid, by_a in model.q.items()
                          for aid, q in by_a.items()},
             RANKER_NO_POSITION: estimate_quality(model, trajs, pop)}
-        sets, skipped = build_ranking_sets(trajs, truth, scores)
+        sets, skipped = build_ranking_sets(
+            [(t.question_id, t.answers) for t in trajs], truth, scores)
         want = score_rankings(sets, seed=1)
         want.n_skipped += skipped
         assert got.to_json() == want.to_json()

@@ -12,8 +12,7 @@ from cva.counterfactual import (SUBSAMPLE_THRESHOLD, TIME_SLICE_MIN,
 from cva.model import PROB_CLIP, CommunityModel
 from cva.simulate import SimConfig, generate, toy_scenario
 from cva.trainer import FitConfig, fit
-from cva.trajectory import (Answer, QuestionTrajectory, VoteEvent,
-                            reconstruct_contexts)
+from cva.trajectory import Answer, QuestionTrajectory, replay_community
 
 
 def population(ratios, ranks, lengths=None, times=None):
@@ -30,16 +29,19 @@ def population(ratios, ranks, lengths=None, times=None):
 def single_answer_traj(question_id="q", n_votes=0, length=100):
     answers = (Answer(f"{question_id}-a", creation_time=0,
                       text_length=length),)
-    events = tuple(VoteEvent(0, k + 1, +1, 100 + k)
-                   for k in range(n_votes))
+    events = tuple((0, +1, 100 + k) for k in range(n_votes))
     return QuestionTrajectory(question_id, answers, events)
+
+
+def one(*trajs):
+    return replay_community(trajs)
 
 
 class TestEstimateQuality:
     def test_degenerate_population_recovers_sigmoid(self):
         model = CommunityModel(q={"q": {"q-a": 0.8}}, nu={"q": 0.0})
         pop = population([0.5], [1])
-        out = estimate_quality(model, [single_answer_traj()], pop)
+        out = estimate_quality(model, one(single_answer_traj()), pop)
         assert out[("q", "q-a")] == pytest.approx(expit(0.8), abs=1e-12)
 
     def test_matches_brute_force_average(self):
@@ -62,7 +64,7 @@ class TestEstimateQuality:
         answers = (Answer("a0", 0, 100), Answer("a1", 1, 100))
         traj = QuestionTrajectory("q", answers, ())
         pop = population([0.2, 0.8, 0.5], [1, 2, 3])
-        out = estimate_quality(model, [traj], pop)
+        out = estimate_quality(model, one(traj), pop)
         assert out[("q", "a0")] == out[("q", "a1")]
 
     def test_population_permutation_invariance(self):
@@ -71,9 +73,9 @@ class TestEstimateQuality:
         traj = single_answer_traj()
         ratios = [0.1, 0.9, 0.4, 0.6, 0.5]
         ranks = [1, 2, 3, 4, 5]
-        fwd = estimate_quality(model, [traj],
+        fwd = estimate_quality(model, one(traj),
                                population(ratios, ranks))[("q", "q-a")]
-        rev = estimate_quality(model, [traj],
+        rev = estimate_quality(model, one(traj),
                                population(ratios[::-1],
                                           ranks[::-1]))[("q", "q-a")]
         assert fwd == pytest.approx(rev, abs=1e-12)
@@ -85,7 +87,7 @@ class TestEstimateQuality:
         for q in np.linspace(-2, 2, 9):
             model = CommunityModel(q={"q": {"q-a": float(q)}},
                                    nu={"q": 0.0}, lam=1.0, beta=1.0)
-            values.append(estimate_quality(model, [traj],
+            values.append(estimate_quality(model, one(traj),
                                            pop)[("q", "q-a")])
         assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -97,7 +99,7 @@ class TestEstimateQuality:
         answers = tuple(Answer(f"a{i}", i, 100) for i in range(3))
         traj = QuestionTrajectory("q", answers, ())
         pop = population([0.1, 0.5, 0.9], [1, 2, 6])
-        out = estimate_quality(model, [traj], pop)
+        out = estimate_quality(model, one(traj), pop)
         ordered = sorted(out, key=out.get)
         assert ordered == [("q", "a0"), ("q", "a1"), ("q", "a2")]
 
@@ -106,7 +108,8 @@ class TestEstimateQuality:
         others = [single_answer_traj(question_id=f"other{i}")
                   for i in range(3)]
         with caplog.at_level(logging.WARNING, logger="cva.counterfactual"):
-            out = estimate_quality(model, others, population([0.5], [1]))
+            out = estimate_quality(model, one(*others),
+                                   population([0.5], [1]))
         assert out == {}
         assert len(caplog.records) == 1
         assert "3 answers not in model" in caplog.records[0].getMessage()
@@ -120,7 +123,7 @@ class TestEstimateQuality:
         ranks = [1] * 30 + [9] * 30
         times = [1] * 30 + [2] * 30
         pop = population(ratios, ranks, times=times)
-        out = estimate_quality(model, [traj], pop,
+        out = estimate_quality(model, one(traj), pop,
                                aggregate="per_time_sum")
         expected = expit(0.2 + 1.0 + 0.5) + expit(0.2 + 0.1)
         assert out[("q", "q-a")] == pytest.approx(float(expected),
@@ -134,7 +137,7 @@ class TestEstimateQuality:
         ratios = [1.0] * 30 + [0.0] * 30 + [0.5]
         times = [1] * 30 + [2] * 30 + [3]
         pop = population(ratios, [1] * 61, times=times)
-        out = estimate_quality(model, [traj], pop,
+        out = estimate_quality(model, one(traj), pop,
                                aggregate="per_time_sum")
         global_mean = float(np.mean(expit(np.asarray(ratios))))
         expected = expit(1.0) + expit(0.0) + global_mean
@@ -145,8 +148,8 @@ class TestEstimateQuality:
         model = CommunityModel(q={"q": {"q-a": 0.0}}, nu={"q": 1.0})
         traj = single_answer_traj()
         pop = population([0.5, 0.5], [1, 1], lengths=[-2.0, 2.0])
-        fixed = estimate_quality(model, [traj], pop)[("q", "q-a")]
-        integ = estimate_quality(model, [traj], pop,
+        fixed = estimate_quality(model, one(traj), pop)[("q", "q-a")]
+        integ = estimate_quality(model, one(traj), pop,
                                  integrate_length=True)[("q", "q-a")]
         assert fixed == pytest.approx(0.5)  # own rel length is 0
         expected = 0.5 * (expit(-2.0) + expit(2.0))
@@ -158,9 +161,9 @@ class TestEstimateQuality:
         traj = single_answer_traj()
         rng = np.random.default_rng(0)
         big = population(rng.random(150_000), np.ones(150_000))
-        a = estimate_quality(model, [traj], big)[("q", "q-a")]
+        a = estimate_quality(model, one(traj), big)[("q", "q-a")]
         big2 = population(big.ratios, big.ranks)
-        b = estimate_quality(model, [traj], big2)[("q", "q-a")]
+        b = estimate_quality(model, one(traj), big2)[("q", "q-a")]
         assert a == b
 
     def test_empty_population_rejected(self):
@@ -192,7 +195,7 @@ def brute_force_quality(model, trajs, pop, aggregate, integrate_length):
             if aggregate == "mean":
                 value = mean_prob(q, nu, rel_len, pop.global_samples())
             else:
-                n_votes = sum(ev.answer_index == j for ev in traj.events)
+                n_votes = sum(k == j for k, _, _ in traj.events)
                 value = math.fsum(
                     mean_prob(q, nu, rel_len, pop.time_slice(t))
                     for t in range(1, n_votes + 1))
@@ -229,8 +232,8 @@ class TestQualityOracle:
         pop = build_population(trajs)
         # the busiest answer's votes reach both full slices and thin ones,
         # which fall back to the global sample
-        max_votes = max(np.bincount([ev.answer_index for ev in t.events]
-                                    ).max() for t in trajs if t.events)
+        max_votes = max(np.bincount([j for j, _, _ in t.events]).max()
+                        for t in trajs if t.events)
         full = [pop.has_time_slice(t) for t in range(1, max_votes + 1)]
         assert any(full) and not all(full)
         assert len(pop.time_slice(1)[0]) >= TIME_SLICE_MIN
@@ -247,7 +250,7 @@ class TestQualityOracle:
                          lengths=rng.normal(size=n),
                          times=rng.integers(1, 4, n))
         assert len(pop.global_samples()[0]) < n
-        trajs = trajs[:3]
+        trajs = one(*trajs[:3])
         for integrate_length in (False, True):
             got = estimate_quality(model, trajs, pop,
                                    integrate_length=integrate_length)
@@ -260,16 +263,14 @@ class TestCounterfactualCurve:
         # one answer with both positive and negative vote climates
         votes = [(0, +1), (0, +1), (0, -1), (0, -1), (0, -1), (0, +1)]
         answers = (Answer("a0", 0, 100),)
-        events = tuple(VoteEvent(0, k + 1, s, 100 + k)
-                       for k, (_, s) in enumerate(votes))
-        return reconstruct_contexts(
-            QuestionTrajectory("q", answers, events))
+        events = tuple((0, s, 100 + k) for k, (_, s) in enumerate(votes))
+        return one(QuestionTrajectory("q", answers, events))
 
     def test_mood_ordering_and_rank_decay(self):
         traj = self.build_mixed_traj()
         model = CommunityModel(q={"q": {"a0": 0.1}}, nu={"q": 0.0},
                                lam=1.5, beta=2.0)
-        curves = {m: counterfactual_curve(model, [traj], 10, m)
+        curves = {m: counterfactual_curve(model, traj, 10, m)
                   for m in ("pos", "neutral", "neg")}
         for m in curves:
             assert not curves[m].empty
@@ -284,16 +285,16 @@ class TestCounterfactualCurve:
         traj = self.build_mixed_traj()
         model = CommunityModel(q={"q": {"a0": 0.1}}, nu={"q": 0.0},
                                lam=0.0, beta=0.0)
-        curves = [counterfactual_curve(model, [traj], 5, m)
+        curves = [counterfactual_curve(model, traj, 5, m)
                   for m in ("pos", "neutral", "neg")]
         values = {p for c in curves for _, p in c.points}
         assert len(values) == 1
 
     def test_no_qualifying_answers_gives_empty_curve(self):
-        traj = reconstruct_contexts(single_answer_traj(n_votes=1))
+        traj = one(single_answer_traj(n_votes=1))
         model = CommunityModel(q={"q": {"q-a": 0.0}}, nu={"q": 0.0})
         # the single vote saw the neutral 0.5 ratio: neither pos nor neg
-        result = counterfactual_curve(model, [traj], 5, "pos")
+        result = counterfactual_curve(model, traj, 5, "pos")
         assert result.empty and result.points == ()
 
     def test_bad_arguments(self):

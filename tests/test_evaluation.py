@@ -14,7 +14,7 @@ from cva.evaluation import (RANKERS, EvaluationReport, RankingSet,
                             rank_zscores, residual_to_diagonal,
                             score_rankings, winrates)
 from cva.model import CommunityModel
-from cva.trajectory import Answer, QuestionTrajectory, VoteEvent
+from cva.trajectory import Answer, QuestionTrajectory, replay_community
 
 
 def brute_force_tau_b(a, b):
@@ -311,7 +311,7 @@ class TestGroupedKernels:
         for i in range(60):
             k = int(rng.integers(1, 41))
             answers = tuple(Answer(f"q{i}-a{j}", j, 100) for j in range(k))
-            trajs.append(QuestionTrajectory(f"q{i}", answers, ()))
+            trajs.append((f"q{i}", answers))
             for a in answers:
                 if rng.random() < 0.9:
                     truth[a.answer_id] = float(rng.normal())
@@ -331,8 +331,7 @@ class TestGroupedKernels:
                           ("q", "q-a2"): 0.0}}
         truth = {"q-a0": 0.1, "q-a1": 0.2, "q-a2": 0.3}
         with pytest.raises(ValueError, match="scores must be finite"):
-            build_ranking_sets([QuestionTrajectory("q", answers, ())],
-                               truth, scores)
+            build_ranking_sets([("q", answers)], truth, scores)
 
 
 def report(kt_cva, kt_vd, kt_ab, res_cva=1.0, res_vd=2.0, res_ab=2.0):
@@ -384,9 +383,12 @@ class TestPipeline:
         votes = []
         for i, d in enumerate(diffs):
             votes.extend([(i, +1)] * d)
-        events = tuple(VoteEvent(j, k + 1, s, 100 + k)
-                       for k, (j, s) in enumerate(votes))
+        events = tuple((j, s, 100 + k) for k, (j, s) in enumerate(votes))
         return QuestionTrajectory(qid, answers, events)
+
+    @staticmethod
+    def pairs(trajs):
+        return [(t.question_id, t.answers) for t in trajs]
 
     def test_noiseless_vote_diff_recovers_truth(self):
         # diffs ordered exactly like the truth => tau 1 for vote_diff
@@ -399,7 +401,7 @@ class TestPipeline:
                        for a, d in zip(
                            t.answers,
                            [5, 3, 1] if t.question_id == "q0" else [4, 2])}
-        sets, skipped = build_ranking_sets(trajs, truth,
+        sets, skipped = build_ranking_sets(self.pairs(trajs), truth,
                                            {"vote_diff": diff_scores})
         assert skipped == 0
         rep = score_rankings(sets, seed=0)
@@ -413,7 +415,7 @@ class TestPipeline:
         truth = {"q0-a0": 0.5, "q0-a1": 0.1, "q1-a0": 0.4}  # q1: 1 label
         scores = {(t.question_id, a.answer_id): 1.0 * (1 - i)
                   for t in trajs for i, a in enumerate(t.answers)}
-        sets, skipped = build_ranking_sets(trajs, truth,
+        sets, skipped = build_ranking_sets(self.pairs(trajs), truth,
                                            {"vote_diff": scores})
         assert len(sets) == 1 and skipped == 1
 
@@ -427,7 +429,8 @@ class TestPipeline:
         ablation = CommunityModel(q=q, nu=nu, lam=0.5, beta=0.0)
         truth = {a.answer_id: 1.0 - 0.3 * i
                  for t in trajs for i, a in enumerate(t.answers)}
-        rep = evaluate_rankers(trajs, model, ablation, truth, seed=3)
+        rep = evaluate_rankers(replay_community(trajs), model, ablation,
+                               truth, seed=3)
         assert rep.n_questions == 12
         assert rep.mean_tau["cva"] == 1.0
         assert set(rep.p_values["tau"]) == {"vote_diff", "no_position"}
@@ -437,12 +440,12 @@ class TestPipeline:
     def test_clipped_q_hat_ties_rank_by_creation_order(self):
         # Both answers' vote probabilities clip to 1 - 1e-12 in every
         # context, so their Q_hat are equal although q ranks a1 first.
-        traj = self.make_question("q0", [2, 1])
+        traj = replay_community([self.make_question("q0", [2, 1])])
         model = CommunityModel(q={"q0": {"q0-a0": 40.0, "q0-a1": 50.0}},
                                nu={"q0": 0.0}, lam=1.0, beta=2.0)
         truth = {"q0-a0": -0.5, "q0-a1": 0.5}
-        rep = evaluate_rankers([traj], model, model, truth, seed=0)
+        rep = evaluate_rankers(traj, model, model, truth, seed=0)
         assert rep.per_question_tau["cva"] == [-1.0]
-        by_q = evaluate_rankers([traj], model, model, truth, seed=0,
+        by_q = evaluate_rankers(traj, model, model, truth, seed=0,
                                 cva_score="q")
         assert by_q.per_question_tau["cva"] == [1.0]

@@ -1,12 +1,12 @@
 import xml.etree.ElementTree as ET
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cva import ingest
 from cva.ingest import (RejectLog, apply_filters, load_labels, parse_dump)
-from cva.trajectory import (read_trajectories, reconstruct_contexts,
+from cva.trajectory import (read_trajectories, replay_community,
                             trajectory_to_json_line, write_trajectories)
 from conftest import GOLDEN_DIR
 
@@ -43,10 +43,9 @@ class TestParseDump:
         # 2020-01-02 has vote ids 103 (a10, down), 104 (a12), 107 (a13);
         # 107 appears first in the file but must sort last
         day_events = [e for e in q1.events
-                      if 1577923200 <= e.timestamp < 1578009600]
-        signs = [e.sign for e in day_events]
-        answer_ids = [q1.answers[e.answer_index].answer_id
-                      for e in day_events]
+                      if 1577923200 <= e[2] < 1578009600]
+        signs = [sign for _, sign, _ in day_events]
+        answer_ids = [q1.answers[j].answer_id for j, _, _ in day_events]
         assert answer_ids == ["10", "12", "13"]
         assert signs == [-1, +1, +1]
 
@@ -55,9 +54,8 @@ class TestParseDump:
         parsed, _ = golden_parsed
         for p in parsed:
             traj = p.trajectory
-            for ev in traj.events:
-                assert ev.timestamp > \
-                    traj.answers[ev.answer_index].creation_time
+            for j, _, ts in traj.events:
+                assert ts > traj.answers[j].creation_time
 
     def test_acceptance_metadata(self, golden_parsed):
         parsed, _ = golden_parsed
@@ -268,6 +266,82 @@ class TestRowParser:
             list(range(3, 21, 2))
 
 
+DAY = 86_400
+EPOCH = 1_577_836_800  # 2020-01-01T00:00:00 UTC
+
+
+def _date(t: int) -> str:
+    return datetime.fromtimestamp(t, timezone.utc).strftime(
+        "%Y-%m-%dT%H:%M:%S.000")
+
+
+@st.composite
+def whole_dumps(draw):
+    """(Posts, Votes, PostHistory) text of a small dump. Votes are dated
+    at midnight, so several share a day and many predate their answer's
+    creation; acceptance votes land before, among and after the votes on
+    the accepted answer; questions are closed by attribute or by a
+    history row."""
+    posts, votes, history = [], [], []
+    next_id = 1
+    for _ in range(draw(st.integers(1, 4))):
+        qid = next_id
+        answer_ids = list(range(qid + 1, qid + 1 + draw(st.integers(0, 4))))
+        next_id = qid + 1 + len(answer_ids)
+        row = f'Id="{qid}" PostTypeId="1" CreationDate="{_date(EPOCH)}"'
+        if answer_ids and draw(st.booleans()):
+            row += f' AcceptedAnswerId="{draw(st.sampled_from(answer_ids))}"'
+        if draw(st.integers(0, 3)) == 0:
+            row += f' ClosedDate="{_date(EPOCH + 9 * DAY)}"'
+        posts.append(f"<row {row} />")
+        kind = draw(st.sampled_from([None, None, 4, 10, 14]))
+        if kind is not None:
+            history.append(f'<row Id="{qid}" PostHistoryTypeId="{kind}" '
+                           f'PostId="{qid}" />')
+        for aid in answer_ids:
+            created = EPOCH + draw(st.integers(0, 3 * DAY))
+            body = "x" * draw(st.integers(1, 40))
+            posts.append(f'<row Id="{aid}" PostTypeId="2" ParentId="{qid}" '
+                         f'CreationDate="{_date(created)}" Body="{body}" />')
+        if answer_ids:
+            votes += draw(st.lists(st.tuples(
+                st.sampled_from(answer_ids), st.sampled_from([1, 2, 2, 3]),
+                st.integers(0, 5)), max_size=12))
+    order = draw(st.permutations(range(len(votes))))
+    vote_rows = [f'<row Id="{k + 1}" PostId="{post}" VoteTypeId="{kind}" '
+                 f'CreationDate="{_date(EPOCH + day * DAY)}" />'
+                 for k, (post, kind, day) in enumerate(votes)]
+    return tuple("\n".join([f"<{tag}>", *rows, f"</{tag}>"]) + "\n"
+                 for tag, rows in (("posts", posts),
+                                   ("votes", [vote_rows[k] for k in order]),
+                                   ("posthistory", history)))
+
+
+class TestValidByConstruction:
+    """Ingested records are valid by construction: written, they read
+    back through the replay's checks with the same votes."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(dump=whole_dumps(), min_answers=st.integers(0, 2))
+    def test_written_records_read_back(self, tmp_path_factory, dump,
+                                       min_answers):
+        root = tmp_path_factory.getbasetemp()
+        paths = [root / name for name in ("Posts.xml", "Votes.xml",
+                                          "PostHistory.xml")]
+        for path, text in zip(paths, dump):
+            path.write_text(text, encoding="utf-8")
+        report = apply_filters(parse_dump(*paths), min_answers=min_answers,
+                               min_questions=0)
+        out = root / "out.jsonl"
+        write_trajectories(report.trajectories, out)
+        community = read_trajectories(out)
+        assert list(community) == report.trajectories
+        assert list(zip(community.answer_index.tolist(),
+                        community.sign.tolist(),
+                        community.timestamp.tolist())) == \
+            [ev for t in report.trajectories for ev in t.events]
+
+
 class TestApplyFilters:
     def test_golden_counts_every_filter_fires(self, golden_parsed):
         parsed, _ = golden_parsed
@@ -306,9 +380,9 @@ class TestApplyFilters:
             if acc is None:
                 continue
             cutoff = traj.answers[acc].acceptance_time
-            for ev in traj.events:
-                if ev.answer_index == acc:
-                    assert ev.timestamp <= cutoff
+            for j, _, ts in traj.events:
+                if j == acc:
+                    assert ts <= cutoff
 
     def test_five_answers_with_accepted_dropped(self, golden_parsed):
         # question 3 has 5 answers, one accepted: 4 non-accepted < 5
@@ -319,8 +393,7 @@ class TestApplyFilters:
     def test_filtered_output_reconstructs_cleanly(self, golden_parsed):
         parsed, _ = golden_parsed
         report = apply_filters(parsed, min_answers=5, min_questions=1)
-        for traj in report.trajectories:
-            reconstruct_contexts(traj)
+        replay_community(report.trajectories)
 
     def test_accepts_bare_trajectories(self, golden_parsed):
         parsed, _ = golden_parsed

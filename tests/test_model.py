@@ -10,14 +10,16 @@ import pytest
 import cva
 from cva.model import (CommunityModel, EncodedEvents, ParameterIndex,
                        model_from_json, model_to_json, objective_and_grad,
-                       load_model, save_model, vote_prob)
-from cva.trajectory import VoteContext
-from conftest import event_prob, nll_and_grad
+                       load_model, save_model)
+from cva.trajectory import (Answer, MalformedTrajectoryError,
+                            QuestionTrajectory, replay_community)
+from conftest import (Context, event_columns, event_prob, nll_and_grad,
+                      vote_prob)
 
 
 def ctx(rank=1, ratio=0.5, length=0.0, pos=0, neg=0):
-    return VoteContext(rank=rank, pos_ratio=ratio, rel_length=length,
-                       prior_pos=pos, prior_neg=neg)
+    return Context(rank=rank, pos_ratio=ratio, rel_length=length,
+                   prior_pos=pos, prior_neg=neg)
 
 
 def random_instance(rng, n_questions=3, n_answers=8, n_events=20,
@@ -36,7 +38,7 @@ def random_instance(rng, n_questions=3, n_answers=8, n_events=20,
     index = ParameterIndex(keys, [q for q, _ in keys],
                            freeze_beta=freeze_beta)
     theta = rng.normal(0, 1, size=index.size)
-    return index, EncodedEvents(index, events), theta
+    return index, EncodedEvents(index, event_columns(events)), theta
 
 
 def fd_gradient(theta, data, w, h=1e-6):
@@ -97,7 +99,7 @@ class TestObjective:
     def test_single_event_hand_value(self):
         m = CommunityModel(q={"q1": {"a1": 0.0}}, nu={"q1": 0.0},
                            l2_weight=0.0)
-        events = [(("q1", "a1"), 1, ctx(rank=1, ratio=0.5))]
+        events = event_columns([(("q1", "a1"), 1, ctx(rank=1, ratio=0.5))])
         obj, grad = nll_and_grad(m, events)
         assert obj == pytest.approx(math.log(2), abs=1e-12)
         index = ParameterIndex([("q1", "a1")], ["q1"])
@@ -106,7 +108,7 @@ class TestObjective:
     def test_zero_theta_regularizer_contributes_nothing(self):
         m = CommunityModel(q={"q1": {"a1": 0.0}}, nu={"q1": 0.0},
                            l2_weight=1.0)
-        events = [(("q1", "a1"), 1, ctx())]
+        events = event_columns([(("q1", "a1"), 1, ctx())])
         obj_w1, grad_w1 = nll_and_grad(m, events)
         m0 = CommunityModel(q={"q1": {"a1": 0.0}}, nu={"q1": 0.0},
                             l2_weight=0.0)
@@ -116,15 +118,21 @@ class TestObjective:
 
     def test_empty_events_only_regularizer(self, rng):
         index, _, theta = random_instance(rng, n_events=1)
-        data = EncodedEvents(index, [])
+        data = EncodedEvents(index, event_columns([]))
         obj, grad = objective_and_grad(theta, data, 2.0)
         assert obj == pytest.approx(float(theta @ theta))
         assert np.allclose(grad, 2.0 * theta)
 
     def test_invalid_vote_value_rejected(self):
+        # a vote is +1 or -1 when replayed, and encoded as 1 or 0
+        answers = (Answer("a1", 0, 100),)
+        with pytest.raises(MalformedTrajectoryError, match="sign 2"):
+            replay_community([QuestionTrajectory("q1", answers,
+                                                 ((0, 2, 10),))])
         index = ParameterIndex([("q1", "a1")], ["q1"])
-        with pytest.raises(ValueError):
-            EncodedEvents(index, [(("q1", "a1"), 2, ctx())])
+        events = event_columns([(("q1", "a1"), 1, ctx()),
+                                (("q1", "a1"), 0, ctx())])
+        assert EncodedEvents(index, events).v.tolist() == [1.0, 0.0]
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(20):

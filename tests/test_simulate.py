@@ -8,17 +8,12 @@ from cva.simulate import (SimConfig, _QuestionState, choice_cdf,
                           crp_new_answer, draw_index, estimate_crp_alpha,
                           generate, parse_sim_config, pick_inverse_rank,
                           scale_truth, toy_scenario)
-from cva.trajectory import (Answer, QuestionTrajectory, VoteEvent,
-                            as_community, final_rel_lengths,
-                            reconstruct_contexts, trajectory_to_json_line,
+from cva.trajectory import (Answer, QuestionTrajectory, read_trajectories,
+                            replay_community, trajectory_to_json_line,
                             write_trajectories)
+from conftest import (assert_same_columns, assert_same_contexts, contexts,
+                      reference_contexts)
 from simulate_reference import reference_generate
-
-
-def strip_contexts(traj):
-    from dataclasses import replace
-    return replace(traj, events=tuple(replace(e, context=None)
-                                      for e in traj.events))
 
 
 class TestGenerate:
@@ -73,10 +68,10 @@ class TestGenerate:
         assert [state.rel_length(j) for j in range(3)] == want
         answers = tuple(state.answers)
         traj = QuestionTrajectory("q", answers, tuple(
-            VoteEvent(j, j + 1, +1, 10 + j) for j in range(3)))
-        replayed = reconstruct_contexts(traj)
-        assert [e.context.rel_length for e in replayed.events] == want
-        assert list(final_rel_lengths(traj).values()) == want
+            (j, +1, 10 + j) for j in range(3)))
+        replayed = replay_community([traj])
+        assert [ctx.rel_length for ctx in contexts(replayed)] == want
+        assert replayed.final_rel_lengths() == want
 
     def test_tiny_alpha_gives_single_answer_questions(self):
         cfg = SimConfig(n_questions=5, n_events=400, crp_alpha=1e-6,
@@ -120,7 +115,6 @@ class TestGenerate:
         cfg = SimConfig(n_questions=8, n_events=300, crp_alpha=2.0, seed=1)
         trajs, _ = generate(cfg)
         path = tmp_path / "real.jsonl"
-        from cva.trajectory import write_trajectories
         write_trajectories(trajs, path)
         cfg2 = SimConfig(n_questions=8, n_events=200, crp_alpha="auto",
                          length_source=f"empirical:{path}",
@@ -150,43 +144,64 @@ REFERENCE_CONFIGS = {
                      quality_sd=0.5),
     "tiny_alpha": dict(crp_alpha=1e-6, true_lambda=1.0, true_beta=2.0),
 }
-INT_COLUMNS = ("event_starts", "question", "answer_index", "sign",
-               "timestamp", "time_index", "rank", "prior_pos", "prior_neg",
-               "answer_slot", "first_vote")
+
+
+def empirical_source(tmp_path):
+    source = tmp_path / "source.jsonl"
+    write_trajectories(generate(SimConfig(
+        n_questions=30, n_events=900, crp_alpha=2.0, seed=3))[0], source)
+    return source
 
 
 class TestReferenceLoop:
     """`generate` against the per-vote loop it replaced, kept in
-    tests/simulate_reference.py."""
+    tests/simulate_reference.py; and its community's records, in memory
+    and through a file, replay to its columns."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
     def test_same_output_and_columns(self, name, tmp_path):
         extra = dict(REFERENCE_CONFIGS[name])
         if extra["crp_alpha"] == "auto":
-            source = tmp_path / "source.jsonl"
-            write_trajectories(generate(SimConfig(
-                n_questions=30, n_events=900, crp_alpha=2.0, seed=3))[0],
-                source)
+            source = empirical_source(tmp_path)
             extra.update(length_source=f"empirical:{source}",
                          question_weight_source=f"empirical:{source}")
         cfg = SimConfig(n_questions=40, n_events=2_000, seed=8, **extra)
         community, truth = generate(cfg)
-        ref_trajs, ref_truth = reference_generate(cfg)
+        ref_trajs, ref_contexts, ref_truth = reference_generate(cfg)
         assert [trajectory_to_json_line(t) for t in community] == \
                [trajectory_to_json_line(t) for t in ref_trajs]
+        assert list(community) == ref_trajs
         assert list(truth) == list(ref_truth)
         assert [v.hex() for v in truth.values()] == \
                [v.hex() for v in ref_truth.values()]
-        ref = as_community(ref_trajs)  # the contexts drawn with
-        assert community.question_ids == ref.question_ids
-        assert community.answers == ref.answers
-        for column in INT_COLUMNS:
-            got, want = getattr(community, column), getattr(ref, column)
-            assert got.dtype == want.dtype and np.array_equal(got, want), \
-                column
-        for column in ("pos_ratio", "rel_length"):
-            assert [x.hex() for x in getattr(community, column).tolist()] \
-                == [x.hex() for x in getattr(ref, column).tolist()], column
+        # the contexts drawn with
+        assert_same_contexts(contexts(community),
+                             [ctx for q in ref_contexts for ctx in q])
+        assert community.time_index.tolist() == [
+            k for t in ref_trajs for k in range(1, len(t.events) + 1)]
+        assert_same_columns(replay_community(list(community)), community)
+        path = tmp_path / "t.jsonl"
+        write_trajectories(community, path)
+        assert_same_columns(read_trajectories(path), community)
+
+    def test_empirical_source_read_once(self, tmp_path, monkeypatch):
+        source = empirical_source(tmp_path)
+        cfg = SimConfig(n_questions=40, n_events=2_000, seed=8,
+                        crp_alpha="auto",
+                        length_source=f"empirical:{source}",
+                        question_weight_source=f"empirical:{source}")
+        ref_trajs, _, _ = reference_generate(cfg)
+        reads = []
+        real_read = simulate.read_trajectories
+        monkeypatch.setattr(simulate, "read_trajectories",
+                            lambda path: reads.append(path)
+                            or real_read(path))
+        community, _ = generate(cfg)
+        assert reads == [str(source)]
+        got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+        write_trajectories(community, got)
+        write_trajectories(ref_trajs, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestCrpStatistics:
@@ -255,48 +270,50 @@ class TestEstimateAlpha:
             tuple(Answer(f"q{i}-a{j}", creation_time=j, text_length=10)
                   for j in range(3)),
             ()) for i in range(4)]
-        assert estimate_crp_alpha(trajs) == 1e6
+        assert estimate_crp_alpha(replay_community(trajs)) == 1e6
 
     def test_single_event_questions_unidentifiable(self):
         trajs = [QuestionTrajectory(
             "q0", (Answer("a0", creation_time=0, text_length=10),), ())]
         with pytest.raises(ValueError):
-            estimate_crp_alpha(trajs)
+            estimate_crp_alpha(replay_community(trajs))
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            estimate_crp_alpha([])
+            estimate_crp_alpha(replay_community([]))
 
 
 class TestToyScenarios:
     def test_s1a_layout(self):
-        (traj,) = toy_scenario("s1a")
+        toy = toy_scenario("s1a")
+        (traj,) = toy
         assert len(traj.events) == 6
-        per_answer = [sum(1 for e in traj.events if e.answer_index == j)
-                      for j in range(2)]
+        per_answer = [sum(1 for j, _, _ in traj.events if j == i)
+                      for i in range(2)]
         assert per_answer == [3, 3]
-        assert all(e.sign == +1 for e in traj.events)
-        ranks = {traj.answers[e.answer_index].answer_id: e.context.rank
-                 for e in traj.events}
+        assert all(sign == +1 for _, sign, _ in traj.events)
+        ranks = {traj.answers[j].answer_id: ctx.rank
+                 for (j, _, _), ctx in zip(traj.events, contexts(toy))}
         assert ranks == {"A": 1, "B": 2}
 
     def test_s1b_all_negative(self):
         (traj,) = toy_scenario("s1b")
-        assert all(e.sign == -1 for e in traj.events)
+        assert all(sign == -1 for _, sign, _ in traj.events)
 
     def test_s2_zero_final_diff_and_rank_one(self):
-        trajs = toy_scenario("s2")
-        assert len(trajs) == 2
-        for traj in trajs:
-            assert sum(e.sign for e in traj.events) == 0
-            assert all(e.context.rank == 1 for e in traj.events)
+        toy = toy_scenario("s2")
+        assert len(toy) == 2
+        for i, traj in enumerate(toy):
+            assert sum(sign for _, sign, _ in traj.events) == 0
+            assert all(ctx.rank == 1 for ctx in contexts(toy, i))
 
     def test_pinned_contexts_match_reconstruction(self):
         for name in ("s1a", "s1b", "s2"):
-            for traj in toy_scenario(name):
-                replayed = reconstruct_contexts(strip_contexts(traj))
-                assert [e.context for e in replayed.events] == \
-                       [e.context for e in traj.events]
+            toy = toy_scenario(name)
+            assert_same_columns(replay_community(list(toy)), toy)
+            for i, traj in enumerate(toy):
+                assert_same_contexts(contexts(toy, i),
+                                     reference_contexts(traj))
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,7 @@ from cva.simulate import SimConfig, generate, toy_scenario
 from cva.trainer import (FitConfig, TOY_TICKS, fit, fit_events,
                          fit_prefixes, parse_fit_config, toy_quality_curves,
                          training_events)
-from cva.trajectory import Answer, QuestionTrajectory, VoteEvent, \
-    reconstruct_contexts
+from cva.trajectory import Answer, QuestionTrajectory, replay_community
 from conftest import nll_and_grad
 
 TOY_CFG = FitConfig(use_length=False)
@@ -69,14 +68,12 @@ class TestFit:
 
     def test_regularizer_bounds_optimum(self):
         answers = (Answer("a0", 0, 100),)
-        events = tuple(VoteEvent(0, k + 1, +1, 100 + k)
-                       for k in range(8))
-        traj = reconstruct_contexts(
-            QuestionTrajectory("q", answers, events))
-        unregularized = fit([traj], FitConfig(l2_weight=0.0,
-                                              use_length=False))
-        regularized = fit([traj], FitConfig(l2_weight=1.0,
+        events = tuple((0, +1, 100 + k) for k in range(8))
+        traj = replay_community([QuestionTrajectory("q", answers, events)])
+        unregularized = fit(traj, FitConfig(l2_weight=0.0,
                                             use_length=False))
+        regularized = fit(traj, FitConfig(l2_weight=1.0,
+                                          use_length=False))
         q_free = unregularized.q["q"]["a0"]
         q_reg = regularized.q["q"]["a0"]
         assert q_free > 5.0  # drifts upward without a penalty
@@ -122,7 +119,9 @@ class TestFit:
         trajs, _ = generate(SimConfig(n_questions=10, n_events=300,
                                       crp_alpha=1.0, seed=3))
         model = fit(trajs, FitConfig())
-        for (qid, aid), _, _ in training_events(trajs):
+        rows = training_events(trajs).rows
+        for qid, aid in map(trajs.answer_keys.__getitem__,
+                            trajs.answer_slot[rows].tolist()):
             assert model.has_answer(qid, aid)
             assert qid in model.nu
 
