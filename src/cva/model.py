@@ -9,8 +9,8 @@ positive is
     sigmoid(q + lambda * R + nu * L + beta / (1 + D))
 
 Fitting minimizes the negative log-likelihood plus (w/2)*||theta||^2.
-Gradients here are analytic and exact; the finite-difference checks live
-in the test suite.
+Gradients and Hessians here are analytic and exact; the finite-difference
+checks live in the test suite.
 """
 
 from __future__ import annotations
@@ -153,9 +153,27 @@ class EncodedEvents:
             [index.nu_slot(qid) if qid in index._nu_pos else -1
              for qid in c.question_ids], dtype=int)
         self.nu_slot = question_nu[c.question[rows]]
+        # each q slot's nu slot (-1 without one); q slots without events
+        # couple to nothing
+        self.answer_nu = np.full(len(index.q_keys), -1)
+        self.answer_nu[self.q_slot] = self.nu_slot
+        # the free globals: (theta position, covariate column)
+        self.border = [(index.lam_pos, self.ratio)]
+        if index.beta_pos is not None:
+            self.border.append((index.beta_pos, self.inv_rank))
 
     def __len__(self) -> int:
         return len(self.v)
+
+
+def _predictor(theta: np.ndarray, data: EncodedEvents) -> np.ndarray:
+    """Each event's logit q + lambda * R + nu * L + beta / (1 + D)."""
+    idx = data.index
+    q = theta[data.q_slot]
+    lam = theta[idx.lam_pos]
+    nu = np.where(data.nu_slot >= 0, theta[idx.nu_base + data.nu_slot], 0.0)
+    beta = idx.freeze_beta if idx.beta_pos is None else theta[idx.beta_pos]
+    return q + lam * data.ratio + nu * data.length + beta * data.inv_rank
 
 
 def objective_and_grad(theta: np.ndarray, data: EncodedEvents,
@@ -174,13 +192,7 @@ def objective_and_grad(theta: np.ndarray, data: EncodedEvents,
                          + (idx.freeze_beta or 0.0) ** 2)
         return obj, w * theta
 
-    q = theta[data.q_slot]
-    lam = theta[idx.lam_pos]
-    nu = np.where(data.nu_slot >= 0, theta[idx.nu_base + data.nu_slot], 0.0)
-    beta = idx.freeze_beta if idx.beta_pos is None else theta[idx.beta_pos]
-
-    x = q + lam * data.ratio + nu * data.length + beta * data.inv_rank
-    p = expit(x)
+    p = expit(_predictor(theta, data))
     p_safe = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
     nll = -float(np.sum(data.v * np.log(p_safe)
                         + (1.0 - data.v) * np.log(1.0 - p_safe)))
@@ -203,6 +215,131 @@ def objective_and_grad(theta: np.ndarray, data: EncodedEvents,
     return nll + reg, grad
 
 
+# A pivot below this share of the diagonal entry it was reduced from has
+# lost its digits to cancellation: the damped Hessian is singular to
+# working precision.
+PIVOT_TOL = 1e-12
+
+
+class BlockHessian:
+    """The objective's Hessian at one theta, and damped Newton solves.
+
+    Without the free globals (lambda, and beta unless frozen) the Hessian
+    is block-diagonal per question: a question's q entries are diagonal
+    among themselves and couple only to the question's nu, an arrowhead.
+    The globals border every block. A solve eliminates the arrowheads
+    with bincounts, solves the globals' (at most 2x2) Schur complement in
+    Python floats and back-substitutes, so it costs O(events). Every sum
+    has a fixed order (bincount, np.sum), so solves are bit-identical
+    whatever the BLAS thread count.
+    """
+
+    def __init__(self, theta: np.ndarray, data: EncodedEvents,
+                 l2_weight: float):
+        idx = data.index
+        w = l2_weight
+        self.data = data
+        n_q, n_nu = len(idx.q_keys), len(idx.nu_keys)
+        p = expit(_predictor(theta, data))
+        h = p * (1.0 - p)
+        mask = data.nu_slot >= 0
+        nu_rows = data.nu_slot[mask]
+        hl = h * data.length
+        self.q_diag = np.bincount(data.q_slot, weights=h, minlength=n_q) + w
+        self.q_nu = np.bincount(data.q_slot, weights=np.where(mask, hl, 0.0),
+                                minlength=n_q)
+        self.nu_diag = np.bincount(nu_rows, weights=(hl * data.length)[mask],
+                                   minlength=n_nu) + w
+        self.border = [pos for pos, _ in data.border]
+        self.q_border, self.nu_border = [], []
+        n_g = len(data.border)
+        self.glob = [[0.0] * n_g for _ in range(n_g)]
+        for j, (_, z) in enumerate(data.border):
+            hz = h * z
+            self.q_border.append(np.bincount(data.q_slot, weights=hz,
+                                             minlength=n_q))
+            self.nu_border.append(np.bincount(
+                nu_rows, weights=(hz * data.length)[mask], minlength=n_nu))
+            for k in range(j, n_g):
+                self.glob[j][k] = self.glob[k][j] = \
+                    float(np.sum(hz * data.border[k][1])) \
+                    + (w if k == j else 0.0)
+
+    def max_diagonal(self) -> float:
+        return max([float(np.max(a)) for a in (self.q_diag, self.nu_diag)
+                    if a.size] + [self.glob[j][j] for j in
+                                  range(len(self.border))])
+
+    def solve(self, rhs: np.ndarray, damping: float
+              ) -> Optional[np.ndarray]:
+        """x with (H + damping * I) x = rhs; None if a pivot is not
+        positive."""
+        idx = self.data.index
+        n_q, n_nu = len(self.q_diag), len(self.nu_diag)
+        nu_end = idx.nu_base + n_nu
+        d = self.q_diag + damping
+        if not np.all(d > 0.0):
+            return None
+        e = self.nu_diag + damping
+        has = self.data.answer_nu >= 0
+        nu_of = self.data.answer_nu[has]
+        c = self.q_nu[has]
+        c_d = c / d[has]
+        pivot = e - np.bincount(nu_of, weights=c * c_d, minlength=n_nu)
+        if not np.all(pivot > PIVOT_TOL * e):
+            return None
+
+        def local(r_q, r_nu):
+            """Solve with the arrowheads: nu first, then each q."""
+            x_q = r_q / d
+            x_nu = (r_nu - np.bincount(nu_of, weights=c * x_q[has],
+                                       minlength=n_nu)) / pivot
+            x_q[has] -= c_d * x_nu[nu_of]
+            return x_q, x_nu
+
+        def border_dot(j, x_q, x_nu):
+            return float(np.sum(self.q_border[j] * x_q)) \
+                + float(np.sum(self.nu_border[j] * x_nu))
+
+        x_q, x_nu = local(rhs[:n_q], rhs[idx.nu_base:nu_end])
+        cols = [local(b_q, b_nu)
+                for b_q, b_nu in zip(self.q_border, self.nu_border)]
+        n_g = len(self.border)
+        schur = [[0.0] * n_g for _ in range(n_g)]
+        for j in range(n_g):
+            for k in range(j, n_g):
+                schur[j][k] = schur[k][j] = self.glob[j][k] \
+                    - border_dot(j, *cols[k]) + (damping if k == j else 0.0)
+        t = [float(rhs[pos]) - border_dot(j, x_q, x_nu)
+             for j, pos in enumerate(self.border)]
+        # Gaussian elimination of the Schur complement, then back
+        # substitution
+        for j in range(n_g):
+            if not schur[j][j] > PIVOT_TOL * (self.glob[j][j] + damping):
+                return None
+            for k in range(j + 1, n_g):
+                f = schur[k][j] / schur[j][j]
+                for m in range(j, n_g):
+                    schur[k][m] -= f * schur[j][m]
+                t[k] -= f * t[j]
+        delta = [0.0] * n_g
+        for j in reversed(range(n_g)):
+            acc = t[j]
+            for m in range(j + 1, n_g):
+                acc -= schur[j][m] * delta[m]
+            delta[j] = acc / schur[j][j]
+        out = np.empty(idx.size)
+        for (c_q, c_nu), value in zip(cols, delta):
+            x_q -= value * c_q
+            x_nu -= value * c_nu
+        out[:n_q] = x_q
+        out[idx.nu_base:nu_end] = x_nu
+        for pos, value in zip(self.border, delta):
+            out[pos] = value
+        return out
+
+
+# Only the unused `trainer._polish` calls this; see the note there.
 def curvature_bound_product(v: np.ndarray, data: EncodedEvents,
                             l2_weight: float) -> np.ndarray:
     """Product with a global upper bound on the objective's Hessian.

@@ -1,10 +1,13 @@
 """Deterministic fitting of community models.
 
-The regularized objective is smooth and convex, so a quasi-Newton solver
-from a fixed zero start is enough: identical inputs and config give
-bit-identical models. Quality-over-time curves come from independent
-refits on chronological event prefixes rather than from warm starts, so
-the curves stay comparable across ticks.
+The regularized objective is smooth and convex, and its Hessian is
+block-diagonal per question, bordered by the community-wide coefficients.
+So damped Newton steps solved by block elimination reach the gradient
+target in a handful of iterations from a fixed zero start. Every sum has
+a fixed order: identical inputs and config give bit-identical models.
+Quality-over-time curves come from independent refits on chronological
+event prefixes rather than from warm starts, so the curves stay
+comparable across ticks.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .configio import InputError, finite_float, parse_typed
-from .model import (CommunityModel, EncodedEvents, EventColumns,
-                    ParameterIndex, curvature_bound_product,
+from .model import (BlockHessian, CommunityModel, EncodedEvents,
+                    EventColumns, ParameterIndex, curvature_bound_product,
                     objective_and_grad)
 from .simulate import toy_scenario
 from .trajectory import Community, replay_community
@@ -65,6 +67,9 @@ def parse_fit_config(path) -> FitConfig:
     return config
 
 
+# No fit calls `_polish` or `model.curvature_bound_product`: the tracer's
+# TRACED table in bench/tracing.py names `trainer._polish`, so both stay
+# until ROADMAP item 1 deletes them with that entry.
 def _polish(fun, data: EncodedEvents, x: np.ndarray, config: FitConfig,
             total_iters: int, on_step) -> tuple[np.ndarray, int]:
     """Fixed-step gradient descent until the gradient target or budget.
@@ -109,6 +114,84 @@ def training_events(community: Community,
     return _select_events(community, drop_first)
 
 
+# Armijo's sufficient-decrease share and the step halvings tried before
+# the damping is raised
+ARMIJO = 1e-4
+MAX_HALVINGS = 10
+# the first damping, relative to the largest diagonal Hessian entry, and
+# the multiple of it past which steps are too short to count
+DAMPING_FLOOR = 1e-8
+DAMPING_CAP = 1e24
+# objective changes within this share of the objective are rounding
+RESOLUTION = 16 * np.finfo(float).eps
+
+
+def _max_norm(grad: np.ndarray) -> float:
+    return float(np.max(np.abs(grad))) if grad.size else 0.0
+
+
+def _backtrack(data: EncodedEvents, w: float, x: np.ndarray, f: float,
+               g: np.ndarray, g_norm: float, step: np.ndarray):
+    """The first of x + step, x + step/2, ... that the line search takes,
+    with its objective, gradient and gradient max-norm; None if none."""
+    slope = float(np.sum(g * step))
+    if not slope < 0.0:
+        return None
+    t = 1.0
+    for _ in range(MAX_HALVINGS):
+        x_new = x + t * step
+        f_new, g_new = objective_and_grad(x_new, data, w)
+        g_new_norm = _max_norm(g_new)
+        if f_new <= f + ARMIJO * t * slope or (
+                abs(f_new - f) <= RESOLUTION * abs(f)
+                and g_new_norm < g_norm):
+            return x_new, f_new, g_new, g_new_norm
+        t *= 0.5
+    return None
+
+
+def minimize(data: EncodedEvents, config: FitConfig,
+             on_step: Callable[[int, float], None]
+             ) -> tuple[np.ndarray, float, np.ndarray, int]:
+    """Damped Newton iterations from zero to the gradient target.
+
+    Each iteration solves (H + mu I) step = -grad with the block
+    elimination of `BlockHessian` and backtracks along the step until the
+    objective shows Armijo decrease. Close to the optimum the objective
+    change drops below float64 resolution while the gradient still
+    shrinks, so there a step that lowers the gradient's max-norm without
+    moving the objective beyond rounding is taken too. The damping mu
+    starts at 0 and is raised tenfold when a pivot is not positive (a
+    singular Hessian, as without an l2 penalty) or the backtracking
+    fails, and drops back after a taken step.
+
+    Returns theta, its objective and gradient, and the iteration count.
+    """
+    w = config.l2_weight
+    x = np.zeros(data.index.size)
+    f, g = objective_and_grad(x, data, w)
+    g_norm = _max_norm(g)
+    iters = 0
+    damping = 0.0
+    while g_norm >= config.tol and iters < config.max_iters:
+        hess = BlockHessian(x, data, w)
+        floor = DAMPING_FLOOR * (hess.max_diagonal() or 1.0)
+        while True:
+            step = hess.solve(-g, damping)
+            taken = None if step is None \
+                else _backtrack(data, w, x, f, g, g_norm, step)
+            if taken is not None:
+                break
+            if damping > DAMPING_CAP * floor:
+                return x, f, g, iters
+            damping = max(10.0 * damping, floor)
+        x, f, g, g_norm = taken
+        iters += 1
+        damping = damping / 10.0 if damping > floor else 0.0
+        on_step(iters, f)
+    return x, f, g, iters
+
+
 def fit_events(events: EventColumns, config: FitConfig,
                callback: Optional[Callable[[int, float], None]] = None
                ) -> CommunityModel:
@@ -119,50 +202,15 @@ def fit_events(events: EventColumns, config: FitConfig,
     index = ParameterIndex(events.q_keys, nu_keys,
                            freeze_beta=config.freeze_beta)
     data = EncodedEvents(index, events)
-
-    def fun(theta):
-        return objective_and_grad(theta, data, config.l2_weight)
-
-    iteration = {"n": 0}
-
-    def on_step(theta):
-        iteration["n"] += 1
-        if callback is not None:
-            callback(iteration["n"], fun(theta)[0])
-
-    # L-BFGS-B can stall short of the gradient target when its curvature
-    # memory goes bad on flat ridges, or when the line search runs into
-    # float64 resolution of the objective value; restart with cleared
-    # memory while restarts keep making steps.
-    x = np.zeros(index.size)
-    total_iters = 0
-    while True:
-        res = minimize(fun, x, jac=True, method="L-BFGS-B",
-                       callback=on_step,
-                       options={"maxiter": config.max_iters - total_iters,
-                                "ftol": 1e-18, "gtol": config.tol,
-                                "maxfun": 20 * config.max_iters,
-                                "maxcor": 20})
-        x = res.x
-        total_iters += res.nit
-        grad_norm = float(np.max(np.abs(res.jac))) if res.jac.size else 0.0
-        if grad_norm < config.tol or total_iters >= config.max_iters \
-                or res.nit == 0:
-            break
-    if not np.max(np.abs(fun(x)[1])) < config.tol:
-        # line-search-free polish: fixed-step descent needs only the
-        # gradient, which stays accurate long after objective differences
-        # drop below float64 resolution
-        x, total_iters = _polish(fun, data, x, config, total_iters,
-                                 on_step)
-    objective, grad = fun(x)
-    final_grad_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
+    x, objective, grad, iters = minimize(
+        data, config, callback or (lambda iteration, objective: None))
+    final_grad_norm = _max_norm(grad)
     converged = final_grad_norm < config.tol
     if not converged:
         log.warning("fit did not reach gradient tolerance %.1e "
                     "(final max-norm %.3e after %d iterations)",
-                    config.tol, final_grad_norm, total_iters)
-    meta = {"iterations": int(total_iters),
+                    config.tol, final_grad_norm, iters)
+    meta = {"iterations": int(iters),
             "final_grad_norm": final_grad_norm,
             "objective": float(objective), "converged": converged,
             "n_events": len(events)}

@@ -543,6 +543,18 @@ class TestNoPerVoteObjects:
             assert run(*map(str, argv)) == 0, argv[0]
 
 
+def test_cli_does_not_import_scipy_optimize():
+    # the fit has its own Newton solver; scipy.optimize would add about
+    # 24 MiB and 0.2 s to every command's start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(cva.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import cva.cli, sys; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 MODEL_KEYS = {"q": {}, "lambda": 1.0, "nu": {}, "beta": 0.0,
               "l2_weight": 1.0}
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import cva
-from cva.model import (CommunityModel, EncodedEvents, ParameterIndex,
-                       model_from_json, model_to_json, objective_and_grad,
-                       load_model, save_model)
+from cva.model import (BlockHessian, CommunityModel, EncodedEvents,
+                       ParameterIndex, model_from_json, model_to_json,
+                       objective_and_grad, load_model, save_model)
 from cva.trajectory import (Answer, MalformedTrajectoryError,
                             QuestionTrajectory, replay_community)
 from conftest import (Context, event_columns, event_prob, nll_and_grad,
@@ -23,8 +23,17 @@ def ctx(rank=1, ratio=0.5, length=0.0, pos=0, neg=0):
 
 
 def random_instance(rng, n_questions=3, n_answers=8, n_events=20,
-                    l2_weight=1.0, freeze_beta=None):
+                    l2_weight=1.0, freeze_beta=None, use_length=True):
     """Random events plus a matching index and parameter vector."""
+    keys, events = random_events(rng, n_questions, n_answers, n_events)
+    index = ParameterIndex(keys, [q for q, _ in keys] if use_length else [],
+                           freeze_beta=freeze_beta)
+    theta = rng.normal(0, 1, size=index.size)
+    return index, EncodedEvents(index, events), theta
+
+
+def random_events(rng, n_questions, n_answers, n_events):
+    """Answer keys and random training events on them."""
     keys = []
     for a in range(n_answers):
         qid = f"q{a % n_questions}"
@@ -35,10 +44,7 @@ def random_instance(rng, n_questions=3, n_answers=8, n_events=20,
         c = ctx(rank=int(rng.integers(1, 7)), ratio=float(rng.random()),
                 length=float(rng.uniform(-3, 3)))
         events.append(((qid, aid), int(rng.integers(0, 2)), c))
-    index = ParameterIndex(keys, [q for q, _ in keys],
-                           freeze_beta=freeze_beta)
-    theta = rng.normal(0, 1, size=index.size)
-    return index, EncodedEvents(index, event_columns(events)), theta
+    return keys, event_columns(events)
 
 
 def fd_gradient(theta, data, w, h=1e-6):
@@ -178,14 +184,20 @@ class TestObjective:
             "import hashlib, numpy as np\n"
             "from cva.model import curvature_bound_product, "
             "objective_and_grad\n"
-            "from test_model import random_instance\n"
+            "from cva.trainer import FitConfig, fit_events\n"
+            "from test_model import random_events, random_instance\n"
             "rng = np.random.default_rng(3)\n"
             "index, data, theta = random_instance(rng, n_questions=300, "
             "n_answers=900, n_events=12_000)\n"
             "obj, grad = objective_and_grad(theta, data, 1.0)\n"
             "hv = curvature_bound_product(theta, data, 1.0)\n"
+            "_, events = random_events(np.random.default_rng(3), 300, 900, "
+            "12_000)\n"
+            "model = fit_events(events, FitConfig())\n"
+            "fitted = index.pack(model)\n"
             "print(obj.hex(), hashlib.sha256(grad.tobytes() + "
-            "hv.tobytes()).hexdigest())\n")
+            "hv.tobytes() + fitted.tobytes() + "
+            "repr(model.fit_meta).encode()).hexdigest())\n")
         paths = [str(Path(cva.__file__).parents[1]),
                  str(Path(__file__).parent)]
         procs = [subprocess.Popen(
@@ -196,6 +208,89 @@ class TestObjective:
         outputs = [proc.communicate(timeout=120)[0] for proc in procs]
         assert [proc.returncode for proc in procs] == [0, 0]
         assert outputs[0] == outputs[1]
+
+
+def dense_hessian(hess, index):
+    """The full matrix of a BlockHessian, entry by entry."""
+    n_q = len(index.q_keys)
+    nu = [index.nu_base + k for k in range(len(index.nu_keys))]
+    out = np.zeros((index.size, index.size))
+    for a in range(n_q):
+        out[a, a] = hess.q_diag[a]
+        k = hess.data.answer_nu[a]
+        if k >= 0:
+            out[a, nu[k]] = out[nu[k], a] = hess.q_nu[a]
+    for k, pos in enumerate(nu):
+        out[pos, pos] = hess.nu_diag[k]
+    for j, pos in enumerate(hess.border):
+        out[pos, :n_q] = out[:n_q, pos] = hess.q_border[j]
+        out[pos, nu] = hess.nu_border[j]
+        out[nu, pos] = hess.nu_border[j]
+        for k, other in enumerate(hess.border):
+            out[pos, other] = hess.glob[j][k]
+    return out
+
+
+class TestBlockHessian:
+    """The Newton system against dense oracles: the Hessian against
+    central differences of the gradient, the eliminated solve against a
+    dense solve."""
+
+    CASES = [(use_length, freeze) for use_length in (True, False)
+             for freeze in (None, 0.5)]
+
+    @pytest.mark.parametrize("use_length,freeze_beta", CASES)
+    def test_matches_finite_differences(self, rng, use_length,
+                                        freeze_beta):
+        for _ in range(5):
+            w = float(rng.choice([0.0, 1.0]))
+            index, data, theta = random_instance(
+                rng, n_events=40, l2_weight=w, freeze_beta=freeze_beta,
+                use_length=use_length)
+            dense = dense_hessian(BlockHessian(theta, data, w), index)
+            h = 1e-6
+            numeric = np.zeros_like(dense)
+            for i in range(index.size):
+                step = np.zeros(index.size)
+                step[i] = h
+                up = objective_and_grad(theta + step, data, w)[1]
+                down = objective_and_grad(theta - step, data, w)[1]
+                numeric[:, i] = (up - down) / (2 * h)
+            assert np.allclose(dense, dense.T, rtol=0, atol=1e-12)
+            assert np.max(np.abs(dense - numeric)) < 1e-6 * max(
+                1.0, np.max(np.abs(numeric)))
+
+    @pytest.mark.parametrize("use_length,freeze_beta", CASES)
+    def test_solve_matches_dense_solve(self, rng, use_length, freeze_beta):
+        for damping in (0.0, 0.3):
+            index, data, theta = random_instance(
+                rng, n_events=40, freeze_beta=freeze_beta,
+                use_length=use_length)
+            hess = BlockHessian(theta, data, 1.0)
+            grad = objective_and_grad(theta, data, 1.0)[1]
+            step = hess.solve(-grad, damping)
+            want = np.linalg.solve(
+                dense_hessian(hess, index) + damping * np.eye(index.size),
+                -grad)
+            assert np.linalg.norm(step - want) <= \
+                1e-9 * np.linalg.norm(want)
+
+    def test_singular_pivot_refused_then_damped(self):
+        # one answer whose votes all see R = 1 and rank 1: the q, R and
+        # 1/(1+D) columns are collinear, so without a penalty the Hessian
+        # is singular and only a damped solve has positive pivots
+        keys = [("q", "a")]
+        events = event_columns([(("q", "a"), 1, ctx(rank=1, ratio=1.0))
+                                for _ in range(4)])
+        index = ParameterIndex(keys, [])
+        data = EncodedEvents(index, events)
+        theta = np.zeros(index.size)
+        hess = BlockHessian(theta, data, 0.0)
+        grad = objective_and_grad(theta, data, 0.0)[1]
+        assert hess.solve(-grad, 0.0) is None
+        step = hess.solve(-grad, 1e-3)
+        assert np.all(np.isfinite(step))
+        assert float(np.sum(grad * step)) < 0.0
 
 
 class TestSerialization:

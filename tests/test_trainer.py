@@ -109,6 +109,16 @@ class TestFit:
         assert not model.fit_meta["converged"]
         assert model.fit_meta["final_grad_norm"] >= 1e-6
 
+    @pytest.mark.parametrize("seed", [10, 26])
+    def test_default_fit_converges_in_few_iterations(self, seed):
+        # seeds whose fits needed 611 and 116 quasi-Newton iterations
+        trajs, _ = generate(SimConfig(n_questions=400, n_events=16_000,
+                                      crp_alpha=0.5, true_lambda=1.0,
+                                      true_beta=2.0, seed=seed))
+        meta = fit(trajs, FitConfig()).fit_meta
+        assert meta["converged"]
+        assert meta["iterations"] <= 25
+
     def test_freeze_beta_zero(self):
         trajs, _ = generate(SimConfig(n_questions=10, n_events=300,
                                       crp_alpha=1.0, true_beta=2.0, seed=3))
