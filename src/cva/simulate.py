@@ -203,7 +203,7 @@ class _QuestionState:
         self.pos: list[int] = []
         self.neg: list[int] = []
         self.votes: list[tuple[int, int, int]] = []
-        self.log_len_sum = 0.0  # added left to right, as `_replay` adds it
+        self.log_len_sum = 0.0  # added left to right, as the replay adds it
 
     def add_answer(self, answer: Answer) -> None:
         self.answers.append(answer)

@@ -160,7 +160,9 @@ def minimize(data: EncodedEvents, config: FitConfig,
     objective shows Armijo decrease. Close to the optimum the objective
     change drops below float64 resolution while the gradient still
     shrinks, so there a step that lowers the gradient's max-norm without
-    moving the objective beyond rounding is taken too. The damping mu
+    moving the objective beyond rounding is taken too. A step that does
+    neither ends the iterations short of the target: the gradient has
+    reached its rounding floor, below a `tol` set that low. The damping mu
     starts at 0 and is raised tenfold when a pivot is not positive (a
     singular Hessian, as without an l2 penalty) or the backtracking
     fails, and drops back after a taken step.
@@ -185,6 +187,8 @@ def minimize(data: EncodedEvents, config: FitConfig,
             if damping > DAMPING_CAP * floor:
                 return x, f, g, iters
             damping = max(10.0 * damping, floor)
+        if f - taken[1] <= RESOLUTION * abs(f) and taken[3] >= g_norm:
+            return x, f, g, iters  # at the rounding floor
         x, f, g, g_norm = taken
         iters += 1
         damping = damping / 10.0 if damping > floor else 0.0

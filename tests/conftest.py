@@ -11,8 +11,7 @@ import pytest
 from cva.model import (CommunityModel, EncodedEvents, EventColumns,
                        ParameterIndex, objective_and_grad, vote_probs)
 from cva.trajectory import (NEUTRAL_POS_RATIO, REL_LENGTH_CLIP, Answer,
-                            Community, QuestionTrajectory, _Columns,
-                            _replay_json)
+                            Community, QuestionTrajectory, _Records)
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
@@ -204,9 +203,9 @@ def reference_contexts(traj: QuestionTrajectory) -> list[Context]:
 def trajectory_from_json(obj: dict) -> Community:
     """One JSONL line's question, validated and replayed as
     `read_trajectories` reads it."""
-    cols = _Columns()
-    _replay_json(cols, obj)
-    return cols.community()
+    records = _Records()
+    records.add_json(obj)
+    return records.community()
 
 
 def nll_and_grad(model: CommunityModel, events: EventColumns):

@@ -10,7 +10,8 @@ import pytest
 import cva
 from cva.cli import main
 from cva.model import load_model
-from cva.trajectory import QuestionTrajectory
+from cva.simulate import toy_scenario
+from cva.trajectory import QuestionTrajectory, write_trajectories
 from conftest import GOLDEN_DIR
 
 SIM_CFG = """\
@@ -125,6 +126,17 @@ class TestFit:
                    "--config", str(cfg), "--out", str(out))
         assert code == 3
         assert not load_model(out).fit_meta["converged"]
+
+    def test_tolerance_below_rounding_floor_exit_3(self, tmp_path):
+        write_trajectories(toy_scenario("s1b"), tmp_path / "T.jsonl")
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text("tol = 1e-300\n")
+        out = tmp_path / "model.json"
+        code = run("fit", "--input", str(tmp_path / "T.jsonl"),
+                   "--config", str(cfg), "--out", str(out))
+        assert code == 3
+        meta = load_model(out).fit_meta
+        assert not meta["converged"] and meta["iterations"] <= 50
 
     def test_reproducible(self, workspace, tmp_path):
         out = tmp_path / "again.json"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,17 @@ class TestFit:
         model = fit(trajs, FitConfig(max_iters=2))
         assert not model.fit_meta["converged"]
         assert model.fit_meta["final_grad_norm"] >= 1e-6
+
+    def test_tolerance_below_rounding_floor_stops(self, caplog):
+        # no step moves the objective beyond rounding or lowers the
+        # gradient long before the max-norm could reach 1e-300
+        start = time.perf_counter()
+        model = fit(toy_scenario("s1b"), FitConfig(tol=1e-300,
+                                                   l2_weight=1.0))
+        assert time.perf_counter() - start < 1.0
+        assert model.fit_meta["iterations"] <= 50
+        assert not model.fit_meta["converged"]
+        assert "did not reach gradient tolerance" in caplog.text
 
     @pytest.mark.parametrize("seed", [10, 26])
     def test_default_fit_converges_in_few_iterations(self, seed):

@@ -1,5 +1,6 @@
 import json
 import math
+from operator import itemgetter
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,11 @@ from cva.trajectory import (Answer, Community, MalformedTrajectoryError,
                             QuestionTrajectory, read_trajectories,
                             reconstruct_contexts, replay_community,
                             trajectory_to_json_line, write_trajectories)
+import cva.trajectory
 from conftest import (assert_same_columns, assert_same_contexts, contexts,
                       oracle_rank, random_trajectory, reference_contexts,
                       trajectory_from_json)
+from replay_reference import reference_read, reference_replay
 
 
 def replay(traj: QuestionTrajectory) -> Community:
@@ -282,6 +285,100 @@ def _line(answers=None, events=None) -> dict:
                                    _answer("a1", 5, 20, True, 50)],
             "events": events or [_event(0, 10), _event(1, 20, -1)]}
 
+# Each field of the second line's first or second answer or vote set to a
+# string, 1.0, 0.5, true or 2**63: the message the read gives, None where
+# the line loads. The message is the one of the first rule that the
+# question breaks, reading its answers and then its votes in order; a
+# mistyped value breaks the first rule that compares it.
+_NOT_INT = "'float' object cannot be interpreted as an integer"
+_NOT_INDEX = "list indices must be integers or slices, not float"
+_MISTYPED = {
+    ("events", 0, "answer_index"): (
+        "'<=' not supported between instances of 'int' and 'str'",
+        _NOT_INDEX, _NOT_INDEX, None,
+        "q: answer_index 9223372036854775808 out of range"),
+    ("events", 1, "answer_index"): (
+        "'<=' not supported between instances of 'int' and 'str'",
+        _NOT_INDEX, _NOT_INDEX, None,
+        "q: answer_index 9223372036854775808 out of range"),
+    ("events", 0, "sign"): (
+        "q: event sign 1 not in {+1,-1}", _NOT_INT,
+        "q: event sign 0.5 not in {+1,-1}", None,
+        "q: event sign 9223372036854775808 not in {+1,-1}"),
+    ("events", 1, "sign"): (
+        "q: event sign 1 not in {+1,-1}", _NOT_INT,
+        "q: event sign 0.5 not in {+1,-1}", None,
+        "q: event sign 9223372036854775808 not in {+1,-1}"),
+    ("events", 0, "timestamp"): (
+        "'>=' not supported between instances of 'int' and 'str'",
+        _NOT_INT, _NOT_INT, None, "q: timestamp outside the 64-bit range"),
+    ("events", 1, "timestamp"): (
+        "'<' not supported between instances of 'str' and 'int'",
+        "q: events not ordered by timestamp",
+        "q: events not ordered by timestamp",
+        "q: events not ordered by timestamp",
+        "q: timestamp outside the 64-bit range"),
+    ("answers", 0, "creation_time"): (
+        "'<' not supported between instances of 'int' and 'str'",
+        None, None, None, "q: answers not ordered by creation_time"),
+    ("answers", 1, "creation_time"): (
+        "'<' not supported between instances of 'str' and 'int'",
+        None, None, None,
+        "q: event at t=20 references answer created at "
+        "t=9223372036854775808"),
+    ("answers", 0, "text_length"): (
+        "'<' not supported between instances of 'str' and 'int'",
+        None, "q/a0: text_length < 1", None, None),
+    ("answers", 1, "text_length"): (
+        "'<' not supported between instances of 'str' and 'int'",
+        None, "q/a1: text_length < 1", None, None),
+}
+_MISTYPED_VALUES = ("1", 1.0, 0.5, True, 2 ** 63)
+
+
+@pytest.mark.parametrize("part, pos, field, value, message", [
+    (part, pos, field, value, message)
+    for (part, pos, field), messages in _MISTYPED.items()
+    for value, message in zip(_MISTYPED_VALUES, messages)])
+def test_mistyped_field(tmp_path, part, pos, field, value, message):
+    obj = _line()
+    obj[part][pos][field] = value
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(dict(_line(), question_id="p")) + "\n"
+                    + json.dumps(obj) + "\n")
+    if message is not None:
+        with pytest.raises(MalformedTrajectoryError) as info:
+            read_trajectories(path)
+        assert str(info.value) == f"{path}:2: {message}"
+        return
+    # the line loads, its values as written, with the contexts that a
+    # replay comparing them as Python numbers gives
+    record = QuestionTrajectory("q", tuple(
+        Answer(a["answer_id"], a["creation_time"], a["text_length"],
+               a["accepted"], a["acceptance_time"]) for a in obj["answers"]),
+        tuple((e["answer_index"], e["sign"], e["timestamp"])
+              for e in obj["events"]))
+    got = read_trajectories(path)
+    assert got[1] == record
+    assert [type(a.creation_time) for a in got.answers[1]] == \
+        [type(a.creation_time) for a in record.answers]
+    assert_same_contexts(contexts(got, 1), reference_contexts(record))
+
+
+@pytest.mark.parametrize("event, message", [
+    (_event(True, 10), "q: answer_index True out of range"),
+    (_event(0, True), "q: event at t=True references answer created at "
+                      "t=1"),
+    (_event(0, 10, sign=False), "q: event sign False not in {+1,-1}"),
+])
+def test_bool_vote_value_named_as_written(tmp_path, event, message):
+    obj = _line(answers=[_answer("a0", 1)], events=[event])
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(MalformedTrajectoryError) as info:
+        read_trajectories(path)
+    assert str(info.value) == f"{path}:1: {message}"
+
 
 class TestValidatedOnLoad:
     """Every structural invariant is checked while the JSONL is read."""
@@ -323,6 +420,72 @@ class TestValidatedOnLoad:
                                     question_id="r")], path)
         assert read_trajectories(path).time_index.tolist() == \
             [1, 2, 1, 2, 3]
+
+
+class TestEarliestErrorWins:
+    """A file reports its first bad line, and a line the first error that
+    a reading of it in order meets."""
+
+    def _read_error(self, tmp_path, *lines) -> str:
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(MalformedTrajectoryError) as info:
+            read_trajectories(path)
+        prefix = f"{path}:"
+        assert str(info.value).startswith(prefix)
+        return str(info.value)[len(prefix):]
+
+    def test_replay_error_before_invalid_json(self, tmp_path):
+        bad = _line(events=[_event(0, 10, sign=0)])
+        assert self._read_error(
+            tmp_path, json.dumps(dict(_line(), question_id="p")),
+            json.dumps(bad), "{") == "2: q: event sign 0 not in {+1,-1}"
+
+    def test_invalid_json_before_replay_error(self, tmp_path):
+        bad = _line(events=[_event(0, 10, sign=0)])
+        assert self._read_error(
+            tmp_path, json.dumps(dict(_line(), question_id="p")), "{",
+            json.dumps(bad)).startswith("2: invalid JSON")
+
+    def test_malformed_duplicate_reports_the_malformation(self, tmp_path):
+        bad = _line(events=[_event(1, 5)])
+        assert self._read_error(tmp_path, json.dumps(_line()),
+                                json.dumps(bad)) == \
+            "2: q: event at t=5 references answer created at t=5"
+
+    def test_duplicate_after_valid_lines(self, tmp_path):
+        assert self._read_error(
+            tmp_path, json.dumps(_line()),
+            json.dumps(dict(_line(), question_id="p")),
+            json.dumps(_line())) == \
+            "3: duplicate question_id 'q' (first on line 1)"
+
+    def test_vote_error_before_missing_vote_key(self, tmp_path):
+        bad = _line(events=[_event(0, 10, sign=0), {"answer_index": 0}])
+        assert self._read_error(tmp_path, json.dumps(bad)) == \
+            "1: q: event sign 0 not in {+1,-1}"
+
+    def test_missing_vote_key_before_later_vote_error(self, tmp_path):
+        bad = _line(events=[_event(0, 10), {"answer_index": 0},
+                            _event(0, 10, sign=0)])
+        assert self._read_error(tmp_path, json.dumps(bad)) == \
+            "1: missing key 'sign'"
+
+    def test_answer_error_before_missing_vote_key(self, tmp_path):
+        bad = _line(answers=[_answer("a0", 0, length=0)],
+                    events=[{"timestamp": 3}])
+        assert self._read_error(tmp_path, json.dumps(bad)) == \
+            "1: q/a0: text_length < 1"
+
+    def test_question_id_that_is_not_hashable(self, tmp_path):
+        assert self._read_error(
+            tmp_path, json.dumps(dict(_line(), question_id=["q"]))) == \
+            "1: unhashable type: 'list'"
+
+    def test_vote_list_that_is_not_a_list(self, tmp_path):
+        assert self._read_error(
+            tmp_path, json.dumps(dict(_line(), events=5))) == \
+            "1: 'int' object is not iterable"
 
 
 class TestJsonl:
@@ -422,3 +585,119 @@ class TestCommunityColumns:
             community[20]
         with pytest.raises(ValueError):
             community.sign[0] = 1  # columns are read-only
+
+
+# values of the wrong type or range that a broken record may hold
+_ODD_VALUES = ("1", 1.0, 0.5, -0.5, True, False, 2 ** 63, -2 ** 63 - 1,
+               1e30, None, [1])
+
+
+@st.composite
+def broken_lines(draw):
+    """JSONL objects of a few questions, most valid, some broken: a field
+    set to an odd value or to another number, or moved by one, a key
+    dropped, a repeated question_id."""
+    objs = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 4))
+        created = sorted(draw(st.lists(st.integers(0, 6), min_size=n,
+                                       max_size=n)))
+        accepted = draw(st.sampled_from(((), (0,), (1,), (3,), (0, 2))))
+        answers = [_answer(f"a{i}", c, draw(st.integers(1, 3000)),
+                           i in accepted, draw(st.integers(0, 30))
+                           if i in accepted else None)
+                   for i, c in enumerate(created)]
+        events, ts = [], 0
+        for _ in range(draw(st.integers(0, 12))):
+            ts += draw(st.integers(0, 3))
+            existing = [i for i, c in enumerate(created) if c < ts]
+            if existing:
+                events.append(_event(draw(st.sampled_from(existing)), ts,
+                                     draw(st.sampled_from((1, -1)))))
+        obj = {"question_id": f"q{draw(st.integers(0, 9))}",
+               "answers": answers, "events": events}
+        parts = answers + events
+        if parts and draw(st.integers(0, 5)) == 0:
+            part = draw(st.sampled_from(parts))
+            key = draw(st.sampled_from(sorted(part)))
+            how = draw(st.sampled_from(("odd", "number", "nudge", "drop")))
+            if how == "odd":
+                part[key] = draw(st.sampled_from(_ODD_VALUES))
+            elif how == "number":  # often one of the question's times
+                part[key] = draw(st.sampled_from(sorted(
+                    {-1, 0, 2, *created, *(e["timestamp"] for e in events)})))
+            elif how == "nudge" and type(part[key]) is int:
+                part[key] += draw(st.sampled_from((-1, 1)))
+            else:
+                del part[key]
+        objs.append(obj)
+    return objs
+
+
+def _outcome(read, *args):
+    """What `read(*args)` gives: its columns, or its error's type and
+    message."""
+    try:
+        return read(*args)
+    except (ValueError, TypeError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Community):
+        assert isinstance(got, Community), got
+        assert_same_columns(got, want)
+    else:
+        assert got == want
+
+
+class TestKernelMatchesLoop:
+    """The array kernel gives the per-vote loop's error, or its columns
+    bit for bit, on records valid and broken alike."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(broken_lines())
+    def test_read(self, tmp_path_factory, objs):
+        path = tmp_path_factory.mktemp("broken") / "t.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        _assert_same_outcome(_outcome(read_trajectories, path),
+                             _outcome(reference_read, path))
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(broken_lines())
+    def test_replay(self, objs):
+        try:
+            trajs = [QuestionTrajectory(
+                obj["question_id"],
+                tuple(Answer(a["answer_id"], a["creation_time"],
+                             a["text_length"], a["accepted"],
+                             a["acceptance_time"]) for a in obj["answers"]),
+                tuple(_RAW_EVENT(e) for e in obj["events"]))
+                for obj in objs]
+        except KeyError:
+            return
+        _assert_same_outcome(_outcome(replay_community, trajs),
+                             _outcome(reference_replay, trajs))
+
+
+_RAW_EVENT = itemgetter("answer_index", "sign", "timestamp")
+
+
+class TestBlocks:
+    """Votes are replayed in blocks of bounded size; a question may span
+    several."""
+
+    def test_small_blocks_match(self, rng, monkeypatch):
+        trajs = [interleaved_trajectory(rng, question_id=f"q{i}")
+                 for i in range(60)]
+        trajs.append(random_trajectory(rng, "long", max_answers=5,
+                                       max_events=400))
+        default = replay_community(trajs)
+        monkeypatch.setattr(cva.trajectory, "_BLOCK_ENTRIES", 7)
+        small = replay_community(trajs)
+        assert_same_columns(small, default)
+        assert_same_columns(small, reference_replay(trajs))
+        assert_same_contexts(contexts(small), [
+            ctx for t in trajs for ctx in reference_contexts(t)])
+        # a question's votes span several blocks of at most 7 // k rows
+        assert max(len(t.events) for t in trajs) > 7
