@@ -9,7 +9,6 @@ of 1 means prior votes carry no pull either way.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .configio import check_json_object, is_number, read_json
+from .configio import check_json_object, is_number, read_json, write_json
 from .model import CommunityModel, vote_probs
 from .trajectory import Community
 
@@ -138,16 +137,14 @@ def profile_from_json(obj: dict) -> BiasProfile:
 
 
 def save_profile(profile: BiasProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile_to_json(profile), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, profile_to_json(profile))
 
 
 _PROFILE_KEYS = {
     "community": (lambda v: isinstance(v, str), "a string"),
-    "position_sensitivity": (is_number, "a number"),
-    "herding_degree": (is_number, "a number"),
-    "n_events": (is_number, "a number"),
+    "position_sensitivity": (is_number, "a finite number"),
+    "herding_degree": (is_number, "a finite number"),
+    "n_events": (is_number, "a finite number"),
 }
 
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import functools
 import logging
 import sys
 from pathlib import Path
 
 from .bias import NoEventsToScoreError, load_profile, map_coordinates, \
     profile_community, save_profile
-from .configio import InputError, finite_float
+from .configio import InputError, finite_float, write_json
 from .counterfactual import MOODS, build_population, counterfactual_curve, \
     estimate_quality, fit_power_law
 from .evaluation import NoRankableQuestionsError, evaluate_rankers
@@ -208,9 +208,7 @@ def _cmd_counterfactual(args) -> int:
     _write_csv(args.out, ["rank", "mood", "p"], curve_rows)
     powerlaw_out = args.powerlaw_out or str(
         Path(args.out).with_suffix("")) + "_powerlaw.json"
-    with open(powerlaw_out, "w", encoding="utf-8") as fh:
-        json.dump(fits, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(powerlaw_out, fits)
     for mood, f in fits.items():
         print(f"{mood}: b={f['b']:.4f} c={f['c']:.4f} sse={f['sse']:.3e}")
     return EX_OK
@@ -230,9 +228,7 @@ def _cmd_evaluate(args) -> int:
     except NoRankableQuestionsError as exc:
         print(f"cva: {args.labels}: {exc}", file=sys.stderr)
         return EX_COMMUNITY_TOO_SMALL
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out, report.to_json())
     for ranker, tau in report.mean_tau.items():
         print(f"mean_tau[{ranker}]: {tau:.4f}")
     for ranker, res in report.residual_sum.items():
@@ -243,7 +239,10 @@ def _cmd_evaluate(args) -> int:
 # --- argument wiring -----------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The `cva` parser, built once per process: each `main` call parses
+    into a fresh namespace."""
     parser = _Parser(prog="cva",
                      description="Debiased quality estimation for "
                                  "helpfulness-vote trajectories")

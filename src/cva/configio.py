@@ -65,7 +65,15 @@ def _json_kind(value) -> str:
 
 
 def is_number(value) -> bool:
-    return _json_kind(value) == "number"
+    """A finite JSON number. `json.loads` reads `NaN`, `Infinity` and an
+    overflowing `1e400` as floats; an integer beyond the float range is
+    not finite either."""
+    if _json_kind(value) != "number":
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_json_object(path, obj, required: dict[str, tuple[Callable, str]],
@@ -82,6 +90,13 @@ def check_json_object(path, obj, required: dict[str, tuple[Callable, str]],
     for key, (check, expected) in {**required, **(optional or {})}.items():
         if key in obj and not check(obj[key]):
             raise InputError(path, f"{key}: expected {expected}")
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` as indented JSON with sorted keys and a final newline,
+    in one write."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def parse_bool(text: str) -> bool:

@@ -15,14 +15,13 @@ checks live in the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .configio import check_json_object, is_number, read_json
+from .configio import check_json_object, is_number, read_json, write_json
 from .trajectory import Community
 
 PROB_CLIP = 1e-12  # keeps log-likelihood terms finite
@@ -395,9 +394,7 @@ def model_from_json(obj: dict) -> CommunityModel:
 
 
 def save_model(model: CommunityModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_json(model))
 
 
 def _numbers(value) -> bool:
@@ -406,11 +403,11 @@ def _numbers(value) -> bool:
 
 _MODEL_KEYS = {
     "q": (lambda v: isinstance(v, dict) and all(map(_numbers, v.values())),
-          "an object of objects of numbers"),
-    "lambda": (is_number, "a number"),
-    "nu": (_numbers, "an object of numbers"),
-    "beta": (is_number, "a number"),
-    "l2_weight": (is_number, "a number"),
+          "an object of objects of finite numbers"),
+    "lambda": (is_number, "a finite number"),
+    "nu": (_numbers, "an object of finite numbers"),
+    "beta": (is_number, "a finite number"),
+    "l2_weight": (is_number, "a finite number"),
 }
 
 

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -62,28 +62,26 @@ class QuestionTrajectory:
     events: tuple[tuple[int, int, int], ...]
 
     def accepted_answer_index(self) -> Optional[int]:
-        for idx, ans in enumerate(self.answers):
-            if ans.accepted:
-                return idx
-        return None
+        return next((i for i, a in enumerate(self.answers) if a.accepted),
+                    None)
 
 
-def _check_question(question_id, answers: tuple[Answer, ...], votes,
-                    error: Optional[Exception]) -> None:
+def _check_question(question_id: str, answers: tuple[Answer, ...],
+                    votes) -> None:
     """Raise the error of the first rule that one question breaks, the
-    rules met in reading order: its answers, then vote by vote. `error`,
-    met while reading the votes past `votes`, comes last.
-
-    Values are compared as Python objects, so a mistyped one raises the
-    TypeError of the first comparison it meets. Only the first question
-    that the array checks of `_Records.community` flag is read this way.
-    """
+    rules met in reading order: its answers, then vote by vote. Only the
+    first question that the array checks of `_Records.community` flag is
+    read this way."""
     n_accepted = sum(1 for a in answers if a.accepted)
     if n_accepted > 1:
         raise MalformedTrajectoryError(
             f"{question_id}: {n_accepted} accepted answers")
-    acc = None
-    for i, a in enumerate(answers):
+    seen = set()
+    for a in answers:
+        if a.answer_id in seen:
+            raise MalformedTrajectoryError(
+                f"{question_id}: duplicate answer_id {a.answer_id!r}")
+        seen.add(a.answer_id)
         if a.text_length < 1:
             raise MalformedTrajectoryError(
                 f"{question_id}/{a.answer_id}: text_length < 1")
@@ -91,13 +89,10 @@ def _check_question(question_id, answers: tuple[Answer, ...], votes,
             raise MalformedTrajectoryError(
                 f"{question_id}/{a.answer_id}: acceptance_time must be "
                 "present iff accepted")
-        if a.accepted:
-            acc = i
     created = [a.creation_time for a in answers]
     if created != sorted(created):
         raise MalformedTrajectoryError(
             f"{question_id}: answers not ordered by creation_time")
-    n = len(answers)
     prev_ts = None
     for j, sign, ts in votes:
         if sign not in (+1, -1):
@@ -107,128 +102,98 @@ def _check_question(question_id, answers: tuple[Answer, ...], votes,
             raise MalformedTrajectoryError(
                 f"{question_id}: events not ordered by timestamp")
         prev_ts = ts
-        if not 0 <= j < n:
+        if not 0 <= j < len(answers):
             raise MalformedTrajectoryError(
                 f"{question_id}: answer_index {j} out of range")
         if created[j] >= ts:
             raise MalformedTrajectoryError(
                 f"{question_id}: event at t={ts} references answer "
                 f"created at t={created[j]}")
-        if acc is not None and acc != j and created[acc] < ts:
-            # the rank rule's comparison, which a mistyped time fails
-            ts > answers[acc].acceptance_time
-        try:
-            array("q", (j, sign, ts))  # fails where the int64 columns do
-        except OverflowError:
-            raise MalformedTrajectoryError(
-                f"{question_id}: timestamp outside the 64-bit range"
-            ) from None
-    if error is not None:
-        raise error
 
 
-def _int64(values) -> Optional[np.ndarray]:
-    """`values` as an int64 array, None unless each is a 64-bit integer
-    or a bool (which Python counts as 0 or 1). Unlike
-    `np.array(values, dtype=np.int64)` it refuses strings and floats."""
-    try:
-        return np.frombuffer(array("q", values), dtype=np.int64)
-    except (TypeError, OverflowError):
-        return None
-
-
-def _time_key(value) -> int:
-    """The int64 k with k < t exactly when value < t for every int64 time
-    t, for a creation or acceptance time that is not a 64-bit integer.
-    NaN counts as never reached and times below -2**63 as -2**63; a
-    value that is not a number is never compared in a valid question."""
-    try:
-        key = math.floor(value)
-    except OverflowError:  # an infinity
-        key = value
-    except (TypeError, ValueError):  # not a number, or NaN
-        key = _INT64_MAX if value != value else 0
-    return min(max(key, _INT64_MIN), _INT64_MAX)
-
-
-def _answer_column(values: list, fallback) -> tuple[np.ndarray,
-                                                    Optional[np.ndarray]]:
-    """An answer field as int64 and the mask of the values that are not
-    64-bit integers, which `fallback` maps (None if there are none)."""
-    column = _int64(values)
-    if column is not None:
-        return column, None
-    odd = np.array([_int64((v,)) is None for v in values], dtype=bool)
-    return np.array([fallback(v) if o else v for v, o in zip(values, odd)],
-                    dtype=np.int64), odd
-
-
-def _read_votes(triples: Iterator) -> tuple[list, Optional[Exception]]:
-    """The votes of `triples` up to the first that cannot be read as an
-    (answer_index, sign, timestamp) triple, and the error it raised."""
-    votes = []
-    try:
-        for j, sign, ts in triples:
-            votes.append((j, sign, ts))
-    except (KeyError, TypeError, ValueError) as exc:
-        return votes, exc
-    return votes, None
-
+# The type rule, checked as a question is taken in (its id, its answers
+# field by field, then its votes): ids are strings, `accepted` a bool and
+# every other value an int in the int64 range, not a bool or a float.
 
 _JSON_VOTE = ("answer_index", "sign", "timestamp")
-_RAW_EVENT = itemgetter(*_JSON_VOTE)
+_JSON_TRIPLE = itemgetter(*_JSON_VOTE)
 _JSON_GETTERS = tuple(map(itemgetter, _JSON_VOTE))
-_RECORD_GETTERS = tuple(map(itemgetter, range(3)))
 
 
-class _BadQuestion(Exception):
-    """The first offending question of a community: its position and the
-    error of the rule it breaks."""
+def _is_int64(value) -> bool:
+    return type(value) is int and _INT64_MIN <= value <= _INT64_MAX
 
-    def __init__(self, index: int, error: Exception):
-        super().__init__(index, error)
-        self.index = index
-        self.error = error
+
+def _mistyped(field: str, value, expected: str) -> MalformedTrajectoryError:
+    return MalformedTrajectoryError(
+        f"{field} must be {expected}, got {value!r}")
+
+
+_ANSWER_TYPES = (
+    ("creation_time", _is_int64, "a 64-bit integer"),
+    ("text_length", _is_int64, "a 64-bit integer"),
+    ("accepted", lambda v: type(v) is bool, "a boolean"),
+    ("acceptance_time", lambda v: v is None or _is_int64(v),
+     "null or a 64-bit integer"),
+)
+
+
+def _checked_answers(question_id, answers: Iterable[Answer]
+                     ) -> tuple[Answer, ...]:
+    """`answers`, read one at a time, once the question's id and each
+    answer obey the type rule."""
+    if type(question_id) is not str:
+        raise _mistyped("question_id", question_id, "a string")
+    out = []
+    for a in answers:
+        if type(a.answer_id) is not str:
+            raise _mistyped(f"{question_id}: answer_id", a.answer_id,
+                            "a string")
+        for name, ok, expected in _ANSWER_TYPES:
+            if not ok(getattr(a, name)):
+                raise _mistyped(f"{question_id}/{a.answer_id}: {name}",
+                                getattr(a, name), expected)
+        out.append(a)
+    return tuple(out)
+
+
+def _check_votes(question_id: str, triples: Iterable) -> None:
+    """Raise for the first vote, counted from 1, that is not an
+    (answer_index, sign, timestamp) triple of 64-bit integers."""
+    for k, (answer_index, sign, timestamp) in enumerate(triples, 1):
+        for name, value in zip(_JSON_VOTE, (answer_index, sign, timestamp)):
+            if not _is_int64(value):
+                raise _mistyped(f"{question_id}: vote {k} {name}", value,
+                                "a 64-bit integer")
 
 
 class _Records:
     """A community's raw records, question by question, with their votes
-    in flat int64 columns, which `community` validates and replays."""
+    in flat int64 columns, which `community` validates and replays. A
+    question is taken in whole or, at a key or type fault, not at all."""
 
     def __init__(self):
         self.question_ids: list[str] = []
         self.answers: list[tuple[Answer, ...]] = []
         self.n_votes: list[int] = []
-        # answer_index, sign and timestamp of the votes that fit them
+        # answer_index, sign and timestamp
         self.votes = (array("q"), array("q"), array("q"))
-        # question -> its votes as given, where the columns may show them
-        # otherwise (a bool as 0 or 1) or do not hold them
-        self.given: dict[int, Sequence] = {}
-        # question -> the error that stopped reading its votes (None if
-        # they were read but some value is not a 64-bit integer); the
-        # columns hold none of these questions' votes
-        self.unread: dict[int, Optional[Exception]] = {}
 
-    def _add(self, question_id, answers: tuple[Answer, ...], events,
-             getters, triples: Iterator, given: Optional[Sequence]) -> None:
-        """Append one question and keep its votes `given`, unless None.
-        The votes go to the columns read with `getters`; if that fails (or
-        `getters` is None) they are read from `triples` and kept instead.
-        """
-        i = len(self.question_ids)
+    def _add(self, question_id: str, answers: tuple[Answer, ...], fill,
+             triples) -> None:
+        """Append one question whose id and answers are checked. `fill()`
+        appends its votes to the columns and tells whether it vouches for
+        their types; unless so, the votes' `triples()` are checked."""
         start = len(self.votes[0])
         try:
-            if getters is None:
-                raise TypeError("votes are not all triples")
-            for column, get in zip(self.votes, getters):
-                column.fromlist(list(map(get, events)))
-        except (KeyError, TypeError, OverflowError):
+            if not fill():
+                _check_votes(question_id, triples())
+        except (KeyError, TypeError, ValueError, OverflowError):
             for column in self.votes:
                 del column[start:]
-            self.given[i], self.unread[i] = _read_votes(triples)
-        else:
-            if given is not None:
-                self.given[i] = given
+            # the fill reads column by column: the first in reading order
+            _check_votes(question_id, triples())
+            raise
         self.question_ids.append(question_id)
         self.answers.append(answers)
         self.n_votes.append(len(self.votes[0]) - start)
@@ -236,40 +201,40 @@ class _Records:
     def add_json(self, obj: dict, text: Optional[str] = None) -> None:
         """Append the question of one JSONL line, parsed from `text`."""
         question_id = obj["question_id"]
-        answers = tuple(
-            Answer(
-                answer_id=a["answer_id"],
-                creation_time=a["creation_time"],
-                text_length=a["text_length"],
-                accepted=a["accepted"],
-                acceptance_time=a.get("acceptance_time"),
-            )
-            for a in obj["answers"]
-        )
+        answers = _checked_answers(question_id, (
+            Answer(a["answer_id"], a["creation_time"], a["text_length"],
+                   a["accepted"], a.get("acceptance_time"))
+            for a in obj["answers"]))
         events = obj["events"]
-        triples = map(_RAW_EVENT, events)
-        # Each bool comes from a `true` or `false` in the text. Unless the
-        # answers' `accepted` flags account for all of them, a vote may
-        # hold one, which the columns show as 0 or 1: keep it as given.
-        given = None
-        if text is None or text.count("true") + text.count("false") \
-                > sum(type(a.accepted) is bool for a in answers):
-            given = _read_votes(map(_RAW_EVENT, events))[0]
-        self._add(question_id, answers, events, _JSON_GETTERS, triples,
-                  given)
+
+        def fill() -> bool:
+            for column, get in zip(self.votes, _JSON_GETTERS):
+                column.fromlist(list(map(get, events)))
+            # `array` takes a bool as 0 or 1. Each comes from a `true` or
+            # `false` in the text, and every answer's `accepted` holds one.
+            return text is not None and \
+                text.count("true") + text.count("false") <= len(answers)
+        self._add(question_id, answers, fill,
+                  lambda: map(_JSON_TRIPLE, events))
 
     def add_record(self, traj: QuestionTrajectory) -> None:
         events = traj.events
-        try:
-            triples = set(map(len, events)) <= {3}
-        except TypeError:
-            triples = False
-        self._add(traj.question_id, traj.answers, events,
-                  _RECORD_GETTERS if triples else None, iter(events), events)
 
-    def community(self) -> Community:
-        """Validate the questions and replay them into a Community; raise
-        _BadQuestion for the first question that breaks a rule."""
+        def fill() -> bool:
+            values = list(chain.from_iterable(events))
+            flat = array("q", values)  # refuses floats, strings, overflow
+            for i, column in enumerate(self.votes):
+                column.extend(flat[i::3])
+            return len(values) == 3 * len(events) \
+                and set(map(type, values)) <= {int}
+        self._add(traj.question_id,
+                  _checked_answers(traj.question_id, traj.answers), fill,
+                  lambda: events)
+
+    def community(self, where=lambda i: "") -> Community:
+        """Validate the questions and replay them into a Community. The
+        first question i that breaks a rule raises its error, prefixed
+        with where(i)."""
         n_questions = len(self.question_ids)
         n_answers = np.fromiter(map(len, self.answers), dtype=np.int64,
                                 count=n_questions)
@@ -280,48 +245,37 @@ class _Records:
             np.frombuffer(column, dtype=np.int64) for column in self.votes)
 
         answers = list(chain.from_iterable(self.answers))
-        created, odd_created = _answer_column(
-            list(map(attrgetter("creation_time"), answers)), _time_key)
-        lengths = list(map(attrgetter("text_length"), answers))
-        text_length, odd_length = _answer_column(lengths, lambda v: 1)
-        accepted, odd_accepted = _answer_column(
-            list(map(attrgetter("accepted"), answers)), bool)
-        times = list(map(attrgetter("acceptance_time"), answers))
-        has_time = np.array([t is not None for t in times], dtype=bool)
-        acc_time, odd_time = _answer_column(
-            [0 if t is None else t for t in times], _time_key)
+        created, text_length, accepted = (
+            np.array(list(map(attrgetter(name), answers)), dtype=np.int64)
+            for name in ("creation_time", "text_length", "accepted"))
+        has_time = np.array([a.acceptance_time is not None for a in answers],
+                            dtype=bool)
+        distinct_ids = np.fromiter(
+            (len({a.answer_id for a in ans}) for ans in self.answers),
+            dtype=np.int64, count=n_questions)
 
-        # Questions with a value that is not a 64-bit integer, or whose
-        # votes were not read, are judged by `_check_question` alone.
-        question_of_answer = np.repeat(np.arange(n_questions), n_answers)
-        offending = np.zeros(n_questions, dtype=bool)
-        for odd in (odd_created, odd_length, odd_accepted, odd_time):
-            if odd is not None:
-                offending[question_of_answer[odd]] = True
-        offending[list(self.unread)] = True
-        offending |= _offending_questions(
-            n_answers, answer_start, created, text_length, accepted,
-            has_time, n_votes, answer_index, sign, timestamp)
+        offending = _offending_questions(
+            n_answers, answer_start, distinct_ids, created, text_length,
+            accepted, has_time, n_votes, answer_index, sign, timestamp)
         for i in np.flatnonzero(offending).tolist():
             rows = slice(vote_start[i], vote_start[i] + n_votes[i])
-            votes = self.given[i] if i in self.given else zip(
-                *(column[rows].tolist() for column in
-                  (answer_index, sign, timestamp)))
+            votes = zip(*(column[rows].tolist() for column in
+                          (answer_index, sign, timestamp)))
             try:
                 _check_question(self.question_ids[i], self.answers[i],
-                                votes, self.unread.get(i))
-            except (ValueError, TypeError, KeyError) as exc:
-                raise _BadQuestion(i, exc) from None
+                                votes)
+            except MalformedTrajectoryError as exc:
+                raise MalformedTrajectoryError(where(i) + str(exc)) from None
 
-        is_accepted = accepted != 0
         acc = np.full(n_questions, -1, dtype=np.int64)
         acc_key = np.zeros(n_questions, dtype=np.int64)
-        answer_pos = np.flatnonzero(is_accepted)
-        owner = question_of_answer[answer_pos]
+        answer_pos = np.flatnonzero(accepted)
+        owner = np.repeat(np.arange(n_questions), n_answers)[answer_pos]
         acc[owner] = answer_pos - answer_start[owner]
-        acc_key[owner] = acc_time[answer_pos]
-        log_len = np.fromiter(map(math.log, lengths), dtype=float,
-                              count=len(lengths))
+        acc_key[owner] = [answers[i].acceptance_time
+                          for i in answer_pos.tolist()]
+        log_len = np.fromiter(map(math.log, text_length.tolist()),
+                              dtype=float, count=len(answers))
         contexts = _replay_contexts(n_answers, answer_start, created, log_len,
                                     acc, acc_key, n_votes, vote_start,
                                     answer_index, sign, timestamp)
@@ -333,14 +287,16 @@ class _Records:
                          **contexts)
 
 
-def _offending_questions(n_answers, answer_start, created, text_length,
-                         accepted, has_time, n_votes, answer_index, sign,
-                         timestamp) -> np.ndarray:
+def _offending_questions(n_answers, answer_start, distinct_ids, created,
+                         text_length, accepted, has_time, n_votes,
+                         answer_index, sign, timestamp) -> np.ndarray:
     """Which questions break a rule that `_check_question` enforces, as
-    array checks over 64-bit integer columns."""
+    array checks over 64-bit integer columns and each question's count of
+    distinct answer ids."""
     n_questions = len(n_answers)
     question = np.repeat(np.arange(n_questions), n_answers)
     bad = np.bincount(question[accepted != 0], minlength=n_questions) > 1
+    bad |= distinct_ids < n_answers
     bad[question[(text_length < 1) | (accepted != has_time)]] = True
     same = question[1:] == question[:-1]
     bad[question[1:][same & (created[1:] < created[:-1])]] = True
@@ -553,11 +509,12 @@ def replay_community(trajectories: Iterable[QuestionTrajectory]
     `read_trajectories` reads a file's lines."""
     records = _Records()
     for traj in trajectories:
-        records.add_record(traj)
-    try:
-        return records.community()
-    except _BadQuestion as bad:
-        raise bad.error from None
+        try:
+            records.add_record(traj)
+        except (ValueError, TypeError, KeyError):
+            records.community()  # an earlier question's broken rule
+            raise
+    return records.community()
 
 
 def reconstruct_contexts(traj: QuestionTrajectory) -> Community:
@@ -585,9 +542,10 @@ def sequential_sum(values: Iterable[float]) -> float:
 #    "events": [{"answer_index", "timestamp", "sign"}, ...]}
 # Contexts and time indices are derived state and never serialized;
 # reading a file validates its questions and replays their contexts. A
-# line that is not UTF-8 or not JSON, lacks a key, breaks an invariant or
-# repeats an earlier line's question_id raises MalformedTrajectoryError
-# prefixed with `path:line:`; of several such lines the first is named.
+# line that is not UTF-8 or not JSON, lacks a key, breaks the type rule
+# or an invariant, or repeats an earlier line's question_id raises
+# MalformedTrajectoryError prefixed with `path:line:`; of several such
+# lines the first is named.
 
 
 def trajectory_to_json_line(traj: QuestionTrajectory) -> str:
@@ -613,9 +571,7 @@ def write_trajectories(trajs: Iterable[QuestionTrajectory], path) -> None:
     """Write one JSONL line per record, e.g. per question of a Community.
     The records are written as given, not validated."""
     with open(path, "w", encoding="utf-8") as fh:
-        for traj in trajs:
-            fh.write(trajectory_to_json_line(traj))
-            fh.write("\n")
+        fh.writelines(trajectory_to_json_line(t) + "\n" for t in trajs)
 
 
 def _reason(exc: Exception) -> str:
@@ -632,12 +588,8 @@ def read_trajectories(path) -> Community:
     lines: list[int] = []  # the line of each question
     first_line: dict[str, int] = {}
 
-    def replayed() -> Community:
-        try:
-            return records.community()
-        except _BadQuestion as bad:
-            raise MalformedTrajectoryError(
-                f"{path}:{lines[bad.index]}: {_reason(bad.error)}") from None
+    def at_line(i: int) -> str:
+        return f"{path}:{lines[i]}: "
 
     # Undecodable bytes become lone surrogates, so the line that holds
     # them is the one reported.
@@ -659,6 +611,7 @@ def read_trajectories(path) -> Community:
                               f"(first on line {first})")
                 except (ValueError, TypeError, KeyError) as exc:
                     reason = _reason(exc)
-            replayed()  # an earlier line's, or this line's, broken rule
+            # an earlier line's, or this line's, broken rule
+            records.community(at_line)
             raise MalformedTrajectoryError(f"{path}:{lineno}: {reason}")
-    return replayed()
+    return records.community(at_line)

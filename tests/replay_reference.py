@@ -1,11 +1,12 @@
 """The per-vote replay loop that `cva.trajectory`'s array kernel replaced.
 
-Each question is validated answer by answer and then vote by vote, in
-one walk that carries the vote counts, the prefix of answers that exist
-at the current vote and that prefix's log-length sum. Kept as the
-reference that the kernel's errors and columns must match, on valid and
-broken records alike: `reference_replay` for records, `reference_read`
-for a JSONL file.
+Each question's values are first type-checked in reading order (its
+id, its answers field by field, its votes), then its rules are checked
+answer by answer and vote by vote in one walk that carries the vote
+counts, the prefix of answers that exist at the current vote and that
+prefix's log-length sum. Kept as the reference that the kernel's errors
+and columns must match, on valid and broken records alike:
+`reference_replay` for records, `reference_read` for a JSONL file.
 """
 
 import json
@@ -20,6 +21,60 @@ from cva.configio import not_utf8
 from cva.trajectory import (NEUTRAL_POS_RATIO, REL_LENGTH_CLIP, Answer,
                             Community, MalformedTrajectoryError,
                             QuestionTrajectory)
+
+
+_INT64_RANGE = range(-2 ** 63, 2 ** 63)
+
+
+def _type_error(field: str, value, expected: str) -> MalformedTrajectoryError:
+    return MalformedTrajectoryError(
+        f"{field} must be {expected}, got {value!r}")
+
+
+def _integer(value) -> bool:
+    """A 64-bit integer: a Python int, not a bool, in the int64 range."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value in _INT64_RANGE
+
+
+def _typed_answers(question_id, answers: Iterable[Answer]
+                   ) -> tuple[Answer, ...]:
+    """`answers`, read one at a time, once the question id and each
+    answer's fields, in order, have their types."""
+    if not isinstance(question_id, str):
+        raise _type_error("question_id", question_id, "a string")
+    out = []
+    for a in answers:
+        if not isinstance(a.answer_id, str):
+            raise _type_error(f"{question_id}: answer_id", a.answer_id,
+                              "a string")
+        where = f"{question_id}/{a.answer_id}: "
+        for name in ("creation_time", "text_length"):
+            if not _integer(getattr(a, name)):
+                raise _type_error(where + name, getattr(a, name),
+                                  "a 64-bit integer")
+        if not isinstance(a.accepted, bool):
+            raise _type_error(where + "accepted", a.accepted, "a boolean")
+        if a.acceptance_time is not None \
+                and not _integer(a.acceptance_time):
+            raise _type_error(where + "acceptance_time", a.acceptance_time,
+                              "null or a 64-bit integer")
+        out.append(a)
+    return tuple(out)
+
+
+def _typed_votes(question_id: str, raw_events: Iterable) -> list:
+    """The (answer_index, sign, timestamp) triples of `raw_events`, read
+    one at a time, once each value has its type; votes count from 1."""
+    out = []
+    for k, (j, sign, ts) in enumerate(raw_events, 1):
+        for name, value in (("answer_index", j), ("sign", sign),
+                            ("timestamp", ts)):
+            if not _integer(value):
+                raise _type_error(f"{question_id}: vote {k} {name}", value,
+                                  "a 64-bit integer")
+        out.append((j, sign, ts))
+    return out
 
 
 def _replay(question_id: str, answers: tuple[Answer, ...],
@@ -40,7 +95,12 @@ def _replay(question_id: str, answers: tuple[Answer, ...],
         raise MalformedTrajectoryError(
             f"{question_id}: {n_accepted} accepted answers")
     acc = None
+    ids = set()
     for i, a in enumerate(answers):
+        if a.answer_id in ids:
+            raise MalformedTrajectoryError(
+                f"{question_id}: duplicate answer_id {a.answer_id!r}")
+        ids.add(a.answer_id)
         if a.text_length < 1:
             raise MalformedTrajectoryError(
                 f"{question_id}/{a.answer_id}: text_length < 1")
@@ -150,12 +210,7 @@ class _Columns:
     def replay(self, question_id: str, answers: tuple[Answer, ...],
                raw_events: Iterable[tuple[int, int, int]]) -> None:
         """Append one question, validated and replayed by `_replay`."""
-        try:
-            n = _replay(question_id, answers, raw_events, self)
-        except OverflowError:  # the one column not bounded by the replay
-            raise MalformedTrajectoryError(
-                f"{question_id}: timestamp outside the 64-bit range"
-            ) from None
+        n = _replay(question_id, answers, raw_events, self)
         self.question_ids.append(question_id)
         self.answers.append(answers)
         self.n_events.append(n)
@@ -177,7 +232,7 @@ _RAW_EVENT = itemgetter("answer_index", "sign", "timestamp")
 
 def _replay_json(cols: _Columns, obj: dict) -> None:
     question_id = obj["question_id"]
-    answers = tuple(
+    answers = _typed_answers(question_id, (
         Answer(
             answer_id=a["answer_id"],
             creation_time=a["creation_time"],
@@ -186,8 +241,9 @@ def _replay_json(cols: _Columns, obj: dict) -> None:
             acceptance_time=a.get("acceptance_time"),
         )
         for a in obj["answers"]
-    )
-    cols.replay(question_id, answers, map(_RAW_EVENT, obj["events"]))
+    ))
+    votes = _typed_votes(question_id, map(_RAW_EVENT, obj["events"]))
+    cols.replay(question_id, answers, votes)
 
 
 def reference_read(path) -> Community:
@@ -229,5 +285,7 @@ def reference_replay(trajectories: Iterable[QuestionTrajectory]
     """The Community of `trajectories`, replayed vote by vote."""
     cols = _Columns()
     for traj in trajectories:
-        cols.replay(traj.question_id, traj.answers, traj.events)
+        answers = _typed_answers(traj.question_id, traj.answers)
+        cols.replay(traj.question_id, answers,
+                    _typed_votes(traj.question_id, traj.events))
     return cols.community()

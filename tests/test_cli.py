@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -314,6 +315,19 @@ class TestEvaluate:
 
 
 class TestExitCodes:
+    def test_parser_built_once(self, tmp_path):
+        from cva.cli import build_parser
+        assert build_parser() is build_parser()
+        # the one parser reads other subcommands and options in turn
+        assert run("toy", "--scenario", "1a",
+                   "--out", str(tmp_path / "a.csv")) == 0
+        assert run("fit", "--input", str(tmp_path / "missing.jsonl"),
+                   "--out", str(tmp_path / "m.json")) == 66
+        assert run("toy", "--scenario", "2",
+                   "--out", str(tmp_path / "b.csv")) == 0
+        assert (tmp_path / "a.csv").read_text() != \
+            (tmp_path / "b.csv").read_text()
+
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("toy", "--scenario", "1a", "--frobnicate")
@@ -383,8 +397,9 @@ class TestMalformedTrajectoryFile:
 
 
 @pytest.mark.parametrize("timestamp, reason", [
-    (2 ** 63, "q: timestamp outside the 64-bit range"),
-    (5.5, "'float' object cannot be interpreted as an integer"),
+    (2 ** 63, "q: vote 1 timestamp must be a 64-bit integer, "
+              "got 9223372036854775808"),
+    (5.5, "q: vote 1 timestamp must be a 64-bit integer, got 5.5"),
 ])
 def test_vote_timestamp_must_be_a_64_bit_integer(tmp_path, capsys,
                                                   timestamp, reason):
@@ -395,6 +410,76 @@ def test_vote_timestamp_must_be_a_64_bit_integer(tmp_path, capsys,
     code = run("fit", "--input", str(path), "--out", str(tmp_path / "m.json"))
     assert code == 65
     assert capsys.readouterr().err == f"cva: {path}:1: {reason}\n"
+
+
+# JSON text of values that are not 64-bit integers, and as messages show
+# them
+_NOT_INT64 = [('"5"', "'5'"), ("5.5", "5.5"), ("NaN", "nan"),
+              ("Infinity", "inf"), ("true", "True"),
+              ("9223372036854775808", "9223372036854775808")]
+
+
+class TestTrajectoryTypes:
+    """A value of the wrong type ends the command with exit 65 and one
+    `path:line:` message that names its field."""
+
+    def _fit(self, tmp_path, capsys, obj, *replacements):
+        text = json.dumps(obj)
+        for old, new in replacements:
+            text = text.replace(old, new)
+        path = tmp_path / "t.jsonl"
+        path.write_text(text + "\n")
+        code = run("fit", "--input", str(path),
+                   "--out", str(tmp_path / "m.json"))
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err.startswith(f"cva: {path}:1: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+        return err[len(f"cva: {path}:1: "):-1]
+
+    @pytest.mark.parametrize("part, field", [
+        ("answers", "creation_time"), ("answers", "text_length"),
+        ("answers", "acceptance_time"), ("events", "answer_index"),
+        ("events", "sign"), ("events", "timestamp")])
+    @pytest.mark.parametrize("text, shown", _NOT_INT64)
+    def test_integer_field(self, tmp_path, capsys, part, field, text,
+                           shown):
+        obj = json.loads(json.dumps(GOOD_LINE))
+        obj["answers"][0].update(accepted=True, acceptance_time=3)
+        obj[part][0][field] = "@"
+        where = "q: vote 1" if part == "events" else "q/a:"
+        expected = "null or a 64-bit integer" \
+            if field == "acceptance_time" else "a 64-bit integer"
+        assert self._fit(tmp_path, capsys, obj, ('"@"', text)) == \
+            f"{where} {field} must be {expected}, got {shown}"
+
+    def test_integer_ids(self, tmp_path, capsys):
+        # ids the model file would turn into strings, so that no answer
+        # of the input is found in it again
+        obj = dict(GOOD_LINE, question_id=7, answers=[
+            dict(GOOD_LINE["answers"][0], answer_id=8)])
+        assert self._fit(tmp_path, capsys, obj) == \
+            "question_id must be a string, got 7"
+
+    def test_integer_answer_id(self, tmp_path, capsys):
+        obj = dict(GOOD_LINE, answers=[
+            dict(GOOD_LINE["answers"][0], answer_id=8)])
+        assert self._fit(tmp_path, capsys, obj) == \
+            "q: answer_id must be a string, got 8"
+
+    def test_accepted_not_a_boolean(self, tmp_path, capsys):
+        obj = dict(GOOD_LINE, answers=[
+            dict(GOOD_LINE["answers"][0], accepted=0)])
+        assert self._fit(tmp_path, capsys, obj) == \
+            "q/a: accepted must be a boolean, got 0"
+
+    def test_duplicate_answer_id(self, tmp_path, capsys):
+        answer = GOOD_LINE["answers"][0]
+        obj = dict(GOOD_LINE, answers=[answer, dict(answer,
+                                                    creation_time=2)])
+        assert self._fit(tmp_path, capsys, obj) == \
+            "q: duplicate answer_id 'a'"
 
 
 class TestInputErrors:
@@ -581,11 +666,24 @@ class TestModelAndProfileFiles:
         ("{\n  \"q\": {}\n", "3: invalid JSON: Expecting ',' delimiter"),
         ("[1,2]", "expected a JSON object, got array"),
         (json.dumps(dict(MODEL_KEYS, beta="2")),
-         "beta: expected a number"),
+         "beta: expected a finite number"),
         (json.dumps(dict(MODEL_KEYS, q={"q": 1.0})),
-         "q: expected an object of objects of numbers"),
+         "q: expected an object of objects of finite numbers"),
+        (json.dumps(dict(MODEL_KEYS, **{"lambda": math.nan})),
+         "lambda: expected a finite number"),
+        (json.dumps(dict(MODEL_KEYS, beta=-math.inf)),
+         "beta: expected a finite number"),
+        (json.dumps(MODEL_KEYS).replace("1.0", "1e400"),
+         "lambda: expected a finite number"),
+        (json.dumps(MODEL_KEYS).replace("1.0", "1" + "0" * 400),
+         "lambda: expected a finite number"),
+        (json.dumps(dict(MODEL_KEYS, nu={"q": math.inf})),
+         "nu: expected an object of finite numbers"),
+        (json.dumps(dict(MODEL_KEYS, q={"q": {"a": math.nan}})),
+         "q: expected an object of objects of finite numbers"),
     ], ids=["missing_key", "not_json", "truncated", "array", "mistyped",
-            "nested"])
+            "nested", "nan", "infinity", "overflow", "huge_integer",
+            "nu_infinity", "q_nan"])
     def test_bad_model(self, workspace, tmp_path, capsys, text, reason):
         path = tmp_path / "m.json"
         path.write_text(text)
@@ -622,6 +720,17 @@ class TestModelAndProfileFiles:
         assert code == 65
         assert capsys.readouterr().err == \
             f"cva: {bad}:1: invalid JSON: Expecting value at column 1\n"
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400"])
+    def test_profile_not_finite(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"community": "c1", "herding_degree": 1.0, '
+                       '"position_sensitivity": %s, "n_events": 5}\n' % text)
+        code = run("map", "--profiles", str(bad),
+                   "--out", str(tmp_path / "map.csv"))
+        assert code == 65
+        assert capsys.readouterr().err == \
+            f"cva: {bad}: position_sensitivity: expected a finite number\n"
 
     def test_profile_missing_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

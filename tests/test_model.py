@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -306,6 +307,9 @@ class TestSerialization:
         save_model(m, path)
         back = load_model(path)
         assert model_to_json(back) == model_to_json(m)
+        # the layout that json.dump writes, in one piece
+        assert path.read_text() == json.dumps(
+            model_to_json(m), indent=2, sort_keys=True) + "\n"
 
     def test_json_field_names(self):
         obj = model_to_json(CommunityModel(q={"q1": {"a1": 0.0}},

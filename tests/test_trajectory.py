@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cva.trajectory import (Answer, Community, MalformedTrajectoryError,
-                            QuestionTrajectory, read_trajectories,
+                            QuestionTrajectory, _Records, read_trajectories,
                             reconstruct_contexts, replay_community,
                             trajectory_to_json_line, write_trajectories)
 import cva.trajectory
@@ -262,6 +262,30 @@ class TestValidation:
         with pytest.raises(MalformedTrajectoryError):
             replay(QuestionTrajectory("q", answers, ()))
 
+    def test_duplicate_answer_id_rejected(self):
+        answers = (Answer("a0", 0, 10), Answer("a1", 1, 10),
+                   Answer("a0", 2, 10))
+        with pytest.raises(MalformedTrajectoryError) as info:
+            replay(QuestionTrajectory("q", answers, ()))
+        assert str(info.value) == "q: duplicate answer_id 'a0'"
+
+    def test_duplicate_answer_id_in_reading_order(self):
+        # the repeated id comes before the later answer's length
+        answers = (Answer("a0", 0, 10), Answer("a0", 1, 0))
+        with pytest.raises(MalformedTrajectoryError, match="duplicate"):
+            replay(QuestionTrajectory("q", answers, ()))
+        # and after the earlier answer's
+        answers = (Answer("a0", 0, 0), Answer("a0", 1, 10))
+        with pytest.raises(MalformedTrajectoryError, match="text_length"):
+            replay(QuestionTrajectory("q", answers, ()))
+
+    def test_same_answer_id_in_two_questions(self):
+        community = replay_community([make_traj(2, [(0, +1)]),
+                                      replace(make_traj(2, [(1, +1)]),
+                                              question_id="r")])
+        assert community.answer_keys == (("q", "a0"), ("q", "a1"),
+                                         ("r", "a0"), ("r", "a1"))
+
     def test_bad_sign_rejected(self):
         traj = make_traj(1, [(0, +2)])
         with pytest.raises(MalformedTrajectoryError):
@@ -285,91 +309,69 @@ def _line(answers=None, events=None) -> dict:
                                    _answer("a1", 5, 20, True, 50)],
             "events": events or [_event(0, 10), _event(1, 20, -1)]}
 
-# Each field of the second line's first or second answer or vote set to a
-# string, 1.0, 0.5, true or 2**63: the message the read gives, None where
-# the line loads. The message is the one of the first rule that the
-# question breaks, reading its answers and then its votes in order; a
-# mistyped value breaks the first rule that compares it.
-_NOT_INT = "'float' object cannot be interpreted as an integer"
-_NOT_INDEX = "list indices must be integers or slices, not float"
-_MISTYPED = {
-    ("events", 0, "answer_index"): (
-        "'<=' not supported between instances of 'int' and 'str'",
-        _NOT_INDEX, _NOT_INDEX, None,
-        "q: answer_index 9223372036854775808 out of range"),
-    ("events", 1, "answer_index"): (
-        "'<=' not supported between instances of 'int' and 'str'",
-        _NOT_INDEX, _NOT_INDEX, None,
-        "q: answer_index 9223372036854775808 out of range"),
-    ("events", 0, "sign"): (
-        "q: event sign 1 not in {+1,-1}", _NOT_INT,
-        "q: event sign 0.5 not in {+1,-1}", None,
-        "q: event sign 9223372036854775808 not in {+1,-1}"),
-    ("events", 1, "sign"): (
-        "q: event sign 1 not in {+1,-1}", _NOT_INT,
-        "q: event sign 0.5 not in {+1,-1}", None,
-        "q: event sign 9223372036854775808 not in {+1,-1}"),
-    ("events", 0, "timestamp"): (
-        "'>=' not supported between instances of 'int' and 'str'",
-        _NOT_INT, _NOT_INT, None, "q: timestamp outside the 64-bit range"),
-    ("events", 1, "timestamp"): (
-        "'<' not supported between instances of 'str' and 'int'",
-        "q: events not ordered by timestamp",
-        "q: events not ordered by timestamp",
-        "q: events not ordered by timestamp",
-        "q: timestamp outside the 64-bit range"),
-    ("answers", 0, "creation_time"): (
-        "'<' not supported between instances of 'int' and 'str'",
-        None, None, None, "q: answers not ordered by creation_time"),
-    ("answers", 1, "creation_time"): (
-        "'<' not supported between instances of 'str' and 'int'",
-        None, None, None,
-        "q: event at t=20 references answer created at "
-        "t=9223372036854775808"),
-    ("answers", 0, "text_length"): (
-        "'<' not supported between instances of 'str' and 'int'",
-        None, "q/a0: text_length < 1", None, None),
-    ("answers", 1, "text_length"): (
-        "'<' not supported between instances of 'str' and 'int'",
-        None, "q/a1: text_length < 1", None, None),
-}
-_MISTYPED_VALUES = ("1", 1.0, 0.5, True, 2 ** 63)
+# Each integer field of the second line's first or second answer or vote
+# set to a value that is not a 64-bit integer: a string, floats (whole,
+# fractional, NaN, infinite), a bool or an integer just outside int64.
+_MISTYPED_VALUES = ("1", 1.0, 0.5, math.nan, math.inf, True, 2 ** 63,
+                    -2 ** 63 - 1)
+_INT_FIELDS = [("events", pos, field) for pos in (0, 1)
+               for field in ("answer_index", "sign", "timestamp")] + \
+    [("answers", pos, field) for pos in (0, 1)
+     for field in ("creation_time", "text_length")] + \
+    [("answers", 1, "acceptance_time")]
 
 
-@pytest.mark.parametrize("part, pos, field, value, message", [
-    (part, pos, field, value, message)
-    for (part, pos, field), messages in _MISTYPED.items()
-    for value, message in zip(_MISTYPED_VALUES, messages)])
-def test_mistyped_field(tmp_path, part, pos, field, value, message):
+def _where(part, pos, field) -> str:
+    return f"q: vote {pos + 1} {field}" if part == "events" \
+        else f"q/a{pos}: {field}"
+
+
+@pytest.mark.parametrize("part, pos, field", _INT_FIELDS)
+@pytest.mark.parametrize("value", _MISTYPED_VALUES, ids=repr)
+def test_mistyped_field(tmp_path, part, pos, field, value):
     obj = _line()
     obj[part][pos][field] = value
     path = tmp_path / "t.jsonl"
     path.write_text(json.dumps(dict(_line(), question_id="p")) + "\n"
                     + json.dumps(obj) + "\n")
-    if message is not None:
-        with pytest.raises(MalformedTrajectoryError) as info:
-            read_trajectories(path)
-        assert str(info.value) == f"{path}:2: {message}"
-        return
-    # the line loads, its values as written, with the contexts that a
-    # replay comparing them as Python numbers gives
-    record = QuestionTrajectory("q", tuple(
-        Answer(a["answer_id"], a["creation_time"], a["text_length"],
-               a["accepted"], a["acceptance_time"]) for a in obj["answers"]),
-        tuple((e["answer_index"], e["sign"], e["timestamp"])
-              for e in obj["events"]))
-    got = read_trajectories(path)
-    assert got[1] == record
-    assert [type(a.creation_time) for a in got.answers[1]] == \
-        [type(a.creation_time) for a in record.answers]
-    assert_same_contexts(contexts(got, 1), reference_contexts(record))
+    expected = "null or a 64-bit integer" if field == "acceptance_time" \
+        else "a 64-bit integer"
+    with pytest.raises(MalformedTrajectoryError) as info:
+        read_trajectories(path)
+    assert str(info.value) == \
+        f"{path}:2: {_where(part, pos, field)} must be {expected}, " \
+        f"got {value!r}"
+
+
+@pytest.mark.parametrize("obj, message", [
+    (dict(_line(), question_id=5), "question_id must be a string, got 5"),
+    (dict(_line(), question_id=None),
+     "question_id must be a string, got None"),
+    (_line(answers=[_answer(0, 0), _answer("a1", 5, 20, True, 50)]),
+     "q: answer_id must be a string, got 0"),
+    (_line(answers=[_answer("a0", 0, accepted=1),
+                    _answer("a1", 5, 20, True, 50)]),
+     "q/a0: accepted must be a boolean, got 1"),
+    (_line(answers=[_answer("a0", 0, accepted=None),
+                    _answer("a1", 5, 20, True, 50)]),
+     "q/a0: accepted must be a boolean, got None"),
+], ids=["int_question_id", "null_question_id", "int_answer_id",
+        "int_accepted", "null_accepted"])
+def test_mistyped_id_or_flag(tmp_path, obj, message):
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(MalformedTrajectoryError) as info:
+        read_trajectories(path)
+    assert str(info.value) == f"{path}:1: {message}"
 
 
 @pytest.mark.parametrize("event, message", [
-    (_event(True, 10), "q: answer_index True out of range"),
-    (_event(0, True), "q: event at t=True references answer created at "
-                      "t=1"),
-    (_event(0, 10, sign=False), "q: event sign False not in {+1,-1}"),
+    (_event(True, 10),
+     "q: vote 1 answer_index must be a 64-bit integer, got True"),
+    (_event(0, True),
+     "q: vote 1 timestamp must be a 64-bit integer, got True"),
+    (_event(0, 10, sign=False),
+     "q: vote 1 sign must be a 64-bit integer, got False"),
 ])
 def test_bool_vote_value_named_as_written(tmp_path, event, message):
     obj = _line(answers=[_answer("a0", 1)], events=[event])
@@ -378,6 +380,68 @@ def test_bool_vote_value_named_as_written(tmp_path, event, message):
     with pytest.raises(MalformedTrajectoryError) as info:
         read_trajectories(path)
     assert str(info.value) == f"{path}:1: {message}"
+
+
+def test_true_inside_a_string_loads(tmp_path):
+    # a `true` that is not a bool sends the line through the vote scan,
+    # which finds no fault
+    obj = dict(_line(), question_id="true false true")
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    assert_same_columns(read_trajectories(path), trajectory_from_json(obj))
+
+
+class TestRecordTypes:
+    """Records obey the type rule that JSONL lines do."""
+
+    @pytest.mark.parametrize("events, message", [
+        (((0, 1, 10), (0, True, 20)),
+         "q: vote 2 sign must be a 64-bit integer, got True"),
+        (((0, 1, 10.0),),
+         "q: vote 1 timestamp must be a 64-bit integer, got 10.0"),
+        (((0, 1, np.int64(10)),),
+         f"q: vote 1 timestamp must be a 64-bit integer, "
+         f"got {np.int64(10)!r}"),
+        (((0, 1, 2 ** 63),),
+         "q: vote 1 timestamp must be a 64-bit integer, "
+         "got 9223372036854775808"),
+    ], ids=["bool", "float", "numpy", "overflow"])
+    def test_vote(self, events, message):
+        traj = QuestionTrajectory("q", (Answer("a0", 0, 10),), events)
+        with pytest.raises(MalformedTrajectoryError) as info:
+            replay(traj)
+        assert str(info.value) == message
+
+    def test_vote_that_is_not_a_triple(self):
+        traj = QuestionTrajectory("q", (Answer("a0", 0, 10),),
+                                  ((0, 1, 10), (0, 1, 20, 30)))
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            replay(traj)
+
+    def test_answer(self):
+        traj = QuestionTrajectory("q", (Answer("a0", 0.5, 10),), ())
+        with pytest.raises(MalformedTrajectoryError) as info:
+            replay(traj)
+        assert str(info.value) == \
+            "q/a0: creation_time must be a 64-bit integer, got 0.5"
+
+    def test_earlier_rule_fault_wins(self):
+        broken = make_traj(1, [(0, +2)])
+        mistyped = replace(make_traj(1, [(0, +1)]), question_id=5)
+        with pytest.raises(MalformedTrajectoryError, match="sign 2"):
+            replay_community([broken, mistyped])
+        with pytest.raises(MalformedTrajectoryError,
+                           match="question_id must be a string"):
+            replay_community([mistyped, broken])
+
+
+def test_failed_line_leaves_no_votes():
+    records = _Records()
+    bad = _line(events=[_event(0, 10), _event(1, 20, sign=True)])
+    with pytest.raises(MalformedTrajectoryError):
+        records.add_json(bad, json.dumps(bad))
+    records.add_json(_line(), json.dumps(_line()))
+    assert_same_columns(records.community(), trajectory_from_json(_line()))
 
 
 class TestValidatedOnLoad:
@@ -399,9 +463,11 @@ class TestValidatedOnLoad:
         (_line(events=[_event(2, 10)]), "answer_index 2 out of range"),
         (_line(events=[_event(1, 5)]),
          "event at t=5 references answer created at t=5"),
+        (_line(answers=[_answer("a0", 0), _answer("a0", 1)]),
+         "q: duplicate answer_id 'a0'"),
     ], ids=["two_accepted", "text_length", "acceptance_time",
             "creation_order", "sign", "timestamp_order", "answer_index",
-            "vote_before_creation"])
+            "vote_before_creation", "duplicate_answer_id"])
     def test_read_rejects(self, tmp_path, obj, message):
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps(_line()) + "\n" + json.dumps(obj) + "\n")
@@ -423,8 +489,8 @@ class TestValidatedOnLoad:
 
 
 class TestEarliestErrorWins:
-    """A file reports its first bad line, and a line the first error that
-    a reading of it in order meets."""
+    """A file reports its first bad line. A line reports its first key or
+    type fault in reading order, and only then its first broken rule."""
 
     def _read_error(self, tmp_path, *lines) -> str:
         path = tmp_path / "t.jsonl"
@@ -460,10 +526,10 @@ class TestEarliestErrorWins:
             json.dumps(_line())) == \
             "3: duplicate question_id 'q' (first on line 1)"
 
-    def test_vote_error_before_missing_vote_key(self, tmp_path):
+    def test_missing_vote_key_before_earlier_vote_rule(self, tmp_path):
         bad = _line(events=[_event(0, 10, sign=0), {"answer_index": 0}])
         assert self._read_error(tmp_path, json.dumps(bad)) == \
-            "1: q: event sign 0 not in {+1,-1}"
+            "1: missing key 'sign'"
 
     def test_missing_vote_key_before_later_vote_error(self, tmp_path):
         bad = _line(events=[_event(0, 10), {"answer_index": 0},
@@ -471,16 +537,46 @@ class TestEarliestErrorWins:
         assert self._read_error(tmp_path, json.dumps(bad)) == \
             "1: missing key 'sign'"
 
-    def test_answer_error_before_missing_vote_key(self, tmp_path):
+    def test_missing_vote_key_before_answer_rule(self, tmp_path):
         bad = _line(answers=[_answer("a0", 0, length=0)],
                     events=[{"timestamp": 3}])
         assert self._read_error(tmp_path, json.dumps(bad)) == \
-            "1: q/a0: text_length < 1"
+            "1: missing key 'answer_index'"
 
-    def test_question_id_that_is_not_hashable(self, tmp_path):
+    def test_question_id_that_is_a_list(self, tmp_path):
         assert self._read_error(
             tmp_path, json.dumps(dict(_line(), question_id=["q"]))) == \
-            "1: unhashable type: 'list'"
+            "1: question_id must be a string, got ['q']"
+
+    def test_type_fault_before_earlier_rule_fault(self, tmp_path):
+        # the rule fault is read first, but types are checked first
+        bad = _line(answers=[_answer("a0", 0, length=0),
+                             _answer("a1", 5, 20, True, 50)],
+                    events=[_event(0, 10), _event(1, 20, sign=0.5)])
+        assert self._read_error(tmp_path, json.dumps(bad)) == \
+            "1: q: vote 2 sign must be a 64-bit integer, got 0.5"
+
+    def test_answer_type_fault_before_later_missing_key(self, tmp_path):
+        second = _answer("a1", 5)
+        del second["text_length"]
+        bad = _line(answers=[_answer("a0", 1.5), second])
+        assert self._read_error(tmp_path, json.dumps(bad)) == \
+            "1: q/a0: creation_time must be a 64-bit integer, got 1.5"
+
+    def test_rule_fault_before_later_type_fault(self, tmp_path):
+        bad = _line(events=[_event(0, 10, sign=0)])
+        mistyped = dict(_line(), question_id="p",
+                        events=[_event(0, 1e400)])
+        assert self._read_error(tmp_path, json.dumps(bad),
+                                json.dumps(mistyped)) == \
+            "1: q: event sign 0 not in {+1,-1}"
+
+    def test_type_fault_before_later_rule_fault(self, tmp_path):
+        mistyped = dict(_line(), question_id="p", events=[_event(0, 1e400)])
+        bad = _line(events=[_event(0, 10, sign=0)])
+        assert self._read_error(tmp_path, json.dumps(mistyped),
+                                json.dumps(bad)) == \
+            "1: p: vote 1 timestamp must be a 64-bit integer, got inf"
 
     def test_vote_list_that_is_not_a_list(self, tmp_path):
         assert self._read_error(
@@ -596,7 +692,7 @@ _ODD_VALUES = ("1", 1.0, 0.5, -0.5, True, False, 2 ** 63, -2 ** 63 - 1,
 def broken_lines(draw):
     """JSONL objects of a few questions, most valid, some broken: a field
     set to an odd value or to another number, or moved by one, a key
-    dropped, a repeated question_id."""
+    dropped, a repeated answer_id or question_id, an odd question_id."""
     objs = []
     for _ in range(draw(st.integers(1, 4))):
         n = draw(st.integers(0, 4))
@@ -614,8 +710,14 @@ def broken_lines(draw):
             if existing:
                 events.append(_event(draw(st.sampled_from(existing)), ts,
                                      draw(st.sampled_from((1, -1)))))
-        obj = {"question_id": f"q{draw(st.integers(0, 9))}",
-               "answers": answers, "events": events}
+        # 5 and 9 rather than 0, which hypothesis draws far more often
+        if len(answers) > 1 and draw(st.integers(0, 7)) == 5:
+            first, second = draw(st.permutations(answers))[:2]
+            second["answer_id"] = first["answer_id"]
+        question_id = draw(st.sampled_from(_ODD_VALUES)) \
+            if draw(st.integers(0, 15)) == 9 else f"q{draw(st.integers(0, 9))}"
+        obj = {"question_id": question_id, "answers": answers,
+               "events": events}
         parts = answers + events
         if parts and draw(st.integers(0, 5)) == 0:
             part = draw(st.sampled_from(parts))
