@@ -12,9 +12,9 @@ from .bias import BiasProfile, herding_degree, map_coordinates, \
     profile_community
 from .counterfactual import ContextPopulation, CurveResult, PowerLawFit, \
     build_population, counterfactual_curve, estimate_quality, fit_power_law
-from .evaluation import EvaluationReport, RankingSet, evaluate_rankers, \
-    kendall_tau, paired_significance, rank_answers, rank_zscores, \
-    residual_to_diagonal, winrates
+from .evaluation import EvaluationReport, evaluate_rankers, kendall_tau, \
+    paired_significance, rank_answers, rank_zscores, residual_to_diagonal, \
+    winrates
 from .ingest import FilterReport, ParsedQuestion, QualityLabel, RejectLog, \
     apply_filters, load_labels, parse_dump
 from .model import CommunityModel, load_model, model_from_json, \
@@ -33,7 +33,7 @@ __all__ = [
     "Answer", "BiasProfile", "Community", "CommunityModel",
     "ContextPopulation", "CurveResult", "EvaluationReport", "FilterReport",
     "FitConfig", "MalformedTrajectoryError", "ParsedQuestion",
-    "PowerLawFit", "QualityLabel", "QuestionTrajectory", "RankingSet",
+    "PowerLawFit", "QualityLabel", "QuestionTrajectory",
     "RejectLog", "SimConfig", "apply_filters", "build_population",
     "counterfactual_curve", "estimate_crp_alpha", "estimate_quality",
     "evaluate_rankers", "fit", "fit_power_law", "fit_prefixes",

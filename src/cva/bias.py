@@ -46,27 +46,21 @@ def _herding(model: CommunityModel, c: Community,
     """
     rows = np.flatnonzero(~c.first_vote) if drop_first \
         else np.arange(len(c.sign))
+    modelled, slot_q, slot_nu = model.by_slot(c)
     slots = c.answer_slot[rows]
-    used = np.unique(slots)
-    modelled = np.array([model.has_answer(*c.answer_keys[s])
-                         for s in used.tolist()], dtype=bool)
-    if not modelled.all():
-        skipped = used[~modelled]
-        keep = np.isin(slots, skipped, invert=True)
+    keep = modelled[slots]
+    if not keep.all():
+        skipped = np.unique(slots[~keep])
         if keep.any():
             log.warning("%d answers not in model, their %d votes skipped "
                         "(first: %s/%s)", len(skipped),
                         len(rows) - keep.sum(), *c.answer_keys[skipped[0]])
-        rows, slots, used = rows[keep], slots[keep], used[modelled]
+        rows, slots = rows[keep], slots[keep]
     if not len(rows):
         raise NoEventsToScoreError("no events to score")
-    slot_q = np.zeros(c.n_answers)
-    slot_q[used] = [model.quality(*c.answer_keys[s]) for s in used.tolist()]
-    question_nu = np.asarray([model.nu_for(qid) for qid in c.question_ids],
-                             dtype=float)
     h = np.where(c.prior_pos[rows] >= c.prior_neg[rows], 1.0, -1.0)
     p = vote_probs(slot_q[slots], model.lam, c.pos_ratio[rows],
-                   question_nu[c.question[rows]], c.rel_length[rows],
+                   slot_nu[slots], c.rel_length[rows],
                    model.beta, c.rank[rows].astype(float))
     log_sum = float(np.sum(h * np.log(p / (1.0 - p))))
     return math.exp(log_sum / len(rows)), len(rows)

@@ -120,7 +120,7 @@ def _cmd_quality(args) -> int:
     aggregate = "per_time_sum" if args.mode == "per-time-sum" else "mean"
     q_hat = estimate_quality(model, trajs, population, aggregate=aggregate,
                              integrate_length=args.integrate_length == "true")
-    rows = [(qid, aid, model.quality(qid, aid), value)
+    rows = [(qid, aid, model.q[qid][aid], value)
             for (qid, aid), value in sorted(q_hat.items())]
     _write_csv(args.out, ["question_id", "answer_id", "q", "Q_hat"], rows)
     print(f"answers scored: {len(rows)}")

@@ -153,24 +153,18 @@ def estimate_quality(model: CommunityModel, c: Community,
     """
     if aggregate not in ("mean", "per_time_sum"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
-    votes = np.bincount(c.answer_slot, minlength=c.n_answers).tolist()
-    keys, q, nu, rel_len, n_votes = [], [], [], [], []
-    unmodeled = []
-    for key, length, n in zip(c.answer_keys, c.final_rel_lengths(), votes):
-        if not model.has_answer(*key):
-            unmodeled.append(key)
-            continue
-        keys.append(key)
-        q.append(model.quality(*key))
-        nu.append(model.nu_for(key[0]))
-        rel_len.append(length)
-        n_votes.append(n)
-    if unmodeled:
+    modelled, q, nu = model.by_slot(c)
+    slots = np.flatnonzero(modelled)
+    if len(slots) < c.n_answers:
         log.warning("%d answers not in model, skipped (first: %s/%s)",
-                    len(unmodeled), *unmodeled[0])
-    if not keys:
+                    c.n_answers - len(slots),
+                    *c.answer_keys[np.argmin(modelled)])
+    if not len(slots):
         return {}
-    q, nu, rel_len, n_votes = map(np.asarray, (q, nu, rel_len, n_votes))
+    keys = [c.answer_keys[s] for s in slots.tolist()]
+    q, nu = q[slots], nu[slots]
+    rel_len = np.asarray(c.final_rel_lengths())[slots]
+    n_votes = np.bincount(c.answer_slot, minlength=c.n_answers)[slots]
 
     def means(t: Optional[int], rows=slice(None)) -> np.ndarray:
         if integrate_length:
@@ -231,9 +225,9 @@ def counterfactual_curve(model: CommunityModel, c: Community,
         raise ValueError("need at least 2 ranks")
     if mood not in MOODS:
         raise ValueError(f"unknown mood {mood!r}")
-    slots = [s for s, key in enumerate(c.answer_keys)
-             if model.has_answer(*key)]
+    modelled, q, nu = model.by_slot(c)
     if mood == "neutral":
+        slots = np.flatnonzero(modelled)
         ratio = np.full(len(slots), 0.5)
     else:
         # each answer's mean ratio over its votes cast in this mood
@@ -242,15 +236,13 @@ def counterfactual_curve(model: CommunityModel, c: Community,
         voted_slots = c.answer_slot[voted][order]
         ratios = c.pos_ratio[voted][order]
         found, starts = np.unique(voted_slots, return_index=True)
-        mean_ratio = dict(zip(found.tolist(), (
-            float(np.mean(group)) for group in np.split(ratios, starts[1:]))))
-        slots = [s for s in slots if s in mean_ratio]
-        ratio = np.asarray([mean_ratio[s] for s in slots])
-    keys = [c.answer_keys[s] for s in slots]
-    q = np.asarray([model.quality(*key) for key in keys])
-    nu = np.asarray([model.nu_for(qid) for qid, _ in keys])
-    final_rel_length = c.final_rel_lengths()
-    rel_len = np.asarray([final_rel_length[s] for s in slots])
+        mean_ratio = np.full(c.n_answers, np.nan)  # NaN: never in mood
+        for s, group in zip(found.tolist(), np.split(ratios, starts[1:])):
+            mean_ratio[s] = np.mean(group)
+        slots = np.flatnonzero(modelled & ~np.isnan(mean_ratio))
+        ratio = mean_ratio[slots]
+    q, nu = q[slots], nu[slots]
+    rel_len = np.asarray(c.final_rel_lengths())[slots]
     rank_grid = np.arange(1, ranks + 1, dtype=float)
     total = np.zeros(ranks)
     n_answers = len(slots)

@@ -5,21 +5,22 @@ score, the debiased quality estimate, and the same estimate from a model
 fitted with the position coefficient frozen at zero. Ranks are z-scored
 so questions of different sizes pool, agreement is measured by Kendall
 rank correlation and by squared residuals from the identity line, and
-per-question differences feed a seeded paired bootstrap. Questions with
-the same number of answers are ranked and scored together, as arrays.
+per-question differences feed a seeded paired bootstrap. Every score is
+held by answer slot, and questions with the same number of usable
+answers are ranked and scored together, as arrays.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .counterfactual import build_population, estimate_quality
 from .model import CommunityModel
-from .trajectory import Answer, Community
+from .trajectory import Community
 
 log = logging.getLogger(__name__)
 
@@ -173,16 +174,6 @@ def paired_significance(deltas: Sequence[float] | np.ndarray, seed: int
     return results if arr.ndim == 2 else results[0]
 
 
-@dataclass(frozen=True)
-class RankingSet:
-    """Tie-resolved 1-based rankings of one question's answers."""
-
-    question_id: str
-    answer_ids: tuple[str, ...]          # in creation order
-    ranks: dict[str, list[int]]          # ranker -> ranks
-    truth_ranks: list[int]
-
-
 @dataclass
 class EvaluationReport:
     n_questions: int
@@ -206,117 +197,13 @@ class EvaluationReport:
         }
 
 
-def _by_length(lengths: Sequence[int]) -> dict[int, list[int]]:
-    """Positions grouped by their length, in order within each group."""
-    groups: dict[int, list[int]] = {}
-    for pos, k in enumerate(lengths):
-        groups.setdefault(k, []).append(pos)
-    return groups
-
-
-def build_ranking_sets(questions: Iterable[tuple[str, Sequence[Answer]]],
-                       truth_scores: Mapping[str, float],
-                       ranker_scores: Mapping[str, Mapping[tuple[str, str],
-                                                           float]]
-                       ) -> tuple[list[RankingSet], int]:
-    """Rank each question's answers under every ranker and the truth.
-
-    `questions` yields (question_id, answers) pairs. Answers must carry
-    a truth score and a score from every ranker; questions left with
-    fewer than two such answers are skipped. Questions with the same
-    number of answers are ranked together.
-    Returns (ranking sets, skipped count).
-    """
-    names = list(ranker_scores)
-    score_maps = list(ranker_scores.values())
-    kept: list[tuple[str, tuple[str, ...]]] = []
-    n_questions = 0
-    for qid, answers in questions:
-        n_questions += 1
-        usable = tuple(a.answer_id for a in answers
-                       if a.answer_id in truth_scores
-                       and all((qid, a.answer_id) in scores
-                               for scores in score_maps))
-        if len(usable) >= 2:
-            kept.append((qid, usable))
-    sets: list[RankingSet] = [None] * len(kept)
-    for members in _by_length([len(u) for _, u in kept]).values():
-        # (truth + rankers, questions, answers)
-        scores = np.array(
-            [[[truth_scores[aid] for aid in kept[pos][1]]
-              for pos in members]]
-            + [[[by_key[(kept[pos][0], aid)] for aid in kept[pos][1]]
-                for pos in members] for by_key in score_maps],
-            dtype=float)
-        ranks = _ranks(scores).tolist()
-        for row, pos in enumerate(members):
-            qid, usable = kept[pos]
-            sets[pos] = RankingSet(
-                question_id=qid, answer_ids=usable,
-                ranks={name: ranks[1 + r][row]
-                       for r, name in enumerate(names)},
-                truth_ranks=ranks[0][row])
-    return sets, n_questions - len(kept)
-
-
-def score_rankings(sets: Sequence[RankingSet], seed: int
-                   ) -> EvaluationReport:
-    """Aggregate per-question metrics into an evaluation report.
-
-    Questions with the same number of answers are scored together. A
-    question whose ranking or truth is entirely tied under some ranker
-    (tau undefined), or whose rankings differ in length, is skipped.
-    """
-    rankers = list(sets[0].ranks.keys()) if sets else list(RANKERS)
-    tau = np.full((len(rankers), len(sets)), np.nan)
-    res = np.full((len(rankers), len(sets)), np.nan)
-    lengths = [len(rs.truth_ranks)
-               if all(len(rs.ranks[r]) == len(rs.truth_ranks)
-                      for r in rankers) else 0
-               for rs in sets]
-    for k, members in _by_length(lengths).items():
-        if k < 2 or not rankers:
-            continue
-        truth = np.array([sets[pos].truth_ranks for pos in members],
-                         dtype=float)
-        ranks = np.array([[sets[pos].ranks[r] for pos in members]
-                          for r in rankers], dtype=float)
-        taus = np.array([_tau_b(by_ranker, truth) for by_ranker in ranks])
-        ok = ~np.isnan(taus).any(axis=0)
-        cols = np.asarray(members)[ok]
-        tau[:, cols] = taus[:, ok]
-        res[:, cols] = _residuals(_zscores(truth[ok]), _zscores(ranks[:, ok]))
-    scored = ~np.isnan(tau).any(axis=0)
-    per_tau = {r: tau[i, scored] for i, r in enumerate(rankers)}
-    per_res = {r: res[i, scored] for i, r in enumerate(rankers)}
-
-    n = int(np.count_nonzero(scored)) if rankers else 0
-    if n == 0:
-        raise NoRankableQuestionsError(
-            "no questions with evaluable rankings")
-    mean_tau = {r: float(np.mean(per_tau[r])) for r in rankers}
-    residual_sum = {r: float(np.sum(per_res[r])) for r in rankers}
-
-    p_values: dict[str, dict[str, float]] = {"tau": {}, "residual": {}}
-    bases = [r for r in rankers if r != RANKER_CVA] \
-        if RANKER_CVA in rankers else []
-    insufficient = False
-    if bases:
-        # rows: tau, then residual, difference of each baseline
-        deltas = np.array([delta for base in bases for delta in (
-            per_tau[RANKER_CVA] - per_tau[base],
-            per_res[base] - per_res[RANKER_CVA])])
-        sig = paired_significance(deltas, seed)
-        for b, base in enumerate(bases):
-            p_values["tau"][base] = sig[2 * b].p
-            p_values["residual"][base] = sig[2 * b + 1].p
-        insufficient = sig[0].insufficient_data
-    return EvaluationReport(n_questions=n, n_skipped=len(sets) - n,
-                            per_question_tau={r: v.tolist()
-                                              for r, v in per_tau.items()},
-                            mean_tau=mean_tau, residual_sum=residual_sum,
-                            p_values=p_values,
-                            insufficient_data=insufficient)
+def _slot_scores(scores: Mapping, keys: Sequence
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(values, found) of `keys` in `scores`, one dict lookup per key;
+    a missing value reads 0.0."""
+    got = [scores.get(key) for key in keys]
+    return (np.array([0.0 if v is None else v for v in got], dtype=float),
+            np.array([v is not None for v in got], dtype=bool))
 
 
 def evaluate_rankers(community: Community,
@@ -328,33 +215,65 @@ def evaluate_rankers(community: Community,
     """Full pipeline: score, rank and compare the three rankers.
 
     cva_score "q_hat" ranks by the debiased estimate (default); "q" ranks
-    by the raw fitted quality.
+    by the raw fitted quality. An answer is usable if it has a truth
+    score and a score from every ranker; a question with fewer than two
+    usable answers is skipped. Questions with the same number of usable
+    answers are ranked and scored together.
     """
     if cva_score not in ("q_hat", "q"):
         raise ValueError(f"unknown cva_score {cva_score!r}")
-    population = build_population(community)
-    diffs = np.bincount(community.answer_slot, weights=community.sign,
-                        minlength=community.n_answers)
-    diff_scores = dict(zip(community.answer_keys, diffs.tolist()))
-
+    c = community
+    population = build_population(c)
+    truth, has_truth = _slot_scores(truth_scores,
+                                    [aid for _, aid in c.answer_keys])
+    diffs = np.bincount(c.answer_slot, weights=c.sign, minlength=c.n_answers)
     if cva_score == "q":
-        cva_scores = {(qid, aid): q for qid, by_a in model.q.items()
-                      for aid, q in by_a.items()}
+        has_cva, cva, _ = model.by_slot(c)
     else:
-        cva_scores = estimate_quality(model, community, population)
-    ablation_scores = estimate_quality(ablation_model, community,
-                                       population)
+        cva, has_cva = _slot_scores(estimate_quality(model, c, population),
+                                    c.answer_keys)
+    ablation, has_ablation = _slot_scores(
+        estimate_quality(ablation_model, c, population), c.answer_keys)
+    # (truth + rankers in RANKERS order, answer slots)
+    scores = np.array([truth, diffs, cva, ablation])
+    usable = has_truth & has_cva & has_ablation
 
-    sets, n_unrankable = build_ranking_sets(
-        zip(community.question_ids, community.answers), truth_scores,
-        {RANKER_VOTE_DIFF: diff_scores, RANKER_CVA: cva_scores,
-         RANKER_NO_POSITION: ablation_scores})
-    if not sets:
+    # the usable slots of the kept questions, question by question
+    counts = np.bincount(c.answer_question[usable], minlength=len(c))
+    kept = counts[counts >= 2]
+    if not len(kept):
         raise NoRankableQuestionsError(
             "no questions with at least two scored answers")
-    report = score_rankings(sets, seed)
-    report.n_skipped += n_unrankable
-    return report
+    slots = np.flatnonzero(usable & (counts >= 2)[c.answer_question])
+    starts = np.cumsum(kept) - kept
+    tau = np.empty((len(RANKERS), len(kept)))
+    res = np.empty((len(RANKERS), len(kept)))
+    for k in np.unique(kept).tolist():
+        members = np.flatnonzero(kept == k)
+        ranks = _ranks(scores[:, slots[starts[members, None]
+                                       + np.arange(k)]]).astype(float)
+        truth_ranks, by_ranker = ranks[0], ranks[1:]
+        tau[:, members] = [_tau_b(r, truth_ranks) for r in by_ranker]
+        res[:, members] = _residuals(_zscores(truth_ranks),
+                                     _zscores(by_ranker))
+    per_tau = dict(zip(RANKERS, tau))
+    per_res = dict(zip(RANKERS, res))
+
+    # rows: tau, then residual, difference of each baseline
+    deltas = np.array([delta for base in BASELINES for delta in (
+        per_tau[RANKER_CVA] - per_tau[base],
+        per_res[base] - per_res[RANKER_CVA])])
+    sig = paired_significance(deltas, seed)
+    return EvaluationReport(
+        n_questions=len(kept), n_skipped=len(c) - len(kept),
+        per_question_tau={r: v.tolist() for r, v in per_tau.items()},
+        mean_tau={r: float(np.mean(v)) for r, v in per_tau.items()},
+        residual_sum={r: float(np.sum(v)) for r, v in per_res.items()},
+        p_values={"tau": {base: sig[2 * b].p
+                          for b, base in enumerate(BASELINES)},
+                  "residual": {base: sig[2 * b + 1].p
+                               for b, base in enumerate(BASELINES)}},
+        insufficient_data=sig[0].insufficient_data)
 
 
 def winrates(reports: Sequence[tuple[str, EvaluationReport]]) -> list[dict]:

@@ -38,14 +38,20 @@ class CommunityModel:
     l2_weight: float = 1.0
     fit_meta: dict = field(default_factory=dict)
 
-    def quality(self, question_id: str, answer_id: str) -> float:
-        return self.q[question_id][answer_id]
-
-    def has_answer(self, question_id: str, answer_id: str) -> bool:
-        return answer_id in self.q.get(question_id, {})
-
-    def nu_for(self, question_id: str) -> float:
-        return self.nu.get(question_id, 0.0)
+    def by_slot(self, c: Community
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(modelled, q, nu), one entry per answer slot of `c`: whether
+        the model has the answer, its quality (0.0 if not) and its
+        question's length coefficient (0.0 without one)."""
+        found = []
+        for qid, answers in zip(c.question_ids, c.answers):
+            by_answer = self.q.get(qid, {})
+            found += [by_answer.get(a.answer_id) for a in answers]
+        modelled = np.array([v is not None for v in found], dtype=bool)
+        q = np.array([0.0 if v is None else v for v in found], dtype=float)
+        question_nu = np.array([self.nu.get(qid, 0.0)
+                                for qid in c.question_ids], dtype=float)
+        return modelled, q, question_nu[c.answer_question]
 
 
 def vote_probs(q, lam, ratio, nu, rel_length, beta, rank) -> np.ndarray:

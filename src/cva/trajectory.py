@@ -435,7 +435,8 @@ class Community(Sequence[QuestionTrajectory]):
     `pos_ratio`, `rel_length`, `prior_pos`, `prior_neg`), `answer_slot`
     and `first_vote`, true on each answer's chronologically first vote.
     Answer slots number the community's answers question by question in
-    answer order; `answer_keys[slot]` is (question_id, answer_id).
+    answer order; `answer_keys[slot]` is (question_id, answer_id) and
+    `answer_question[slot]` the index of its question.
 
     It is also a read-only sequence of the questions' raw records
     (QuestionTrajectory), each built on access from column slices.
@@ -455,7 +456,10 @@ class Community(Sequence[QuestionTrajectory]):
                                  for a in ans)
         self.n_answers = len(self.answer_keys)
         self.event_starts = np.concatenate(([0], np.cumsum(n_events)))
-        answer_starts = np.cumsum([0] + [len(a) for a in answers])
+        per_question = [len(a) for a in answers]
+        answer_starts = np.cumsum([0] + per_question)
+        self.answer_question = np.repeat(np.arange(len(question_ids)),
+                                         np.array(per_question, dtype=int))
         self.question = np.repeat(np.arange(len(question_ids)), n_events)
         self.answer_index = answer_index
         self.sign = sign
@@ -470,7 +474,8 @@ class Community(Sequence[QuestionTrajectory]):
         self.first_vote = np.zeros(len(sign), dtype=bool)
         self.first_vote[np.unique(self.answer_slot, return_index=True)[1]] \
             = True
-        for column in (self.event_starts, self.question, answer_index, sign,
+        for column in (self.event_starts, self.question,
+                       self.answer_question, answer_index, sign,
                        timestamp, time_index, rank, pos_ratio, rel_length,
                        prior_pos, prior_neg, self.answer_slot,
                        self.first_vote):

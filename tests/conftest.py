@@ -229,8 +229,8 @@ def vote_prob(model: CommunityModel, q: float, ctx: Context,
 def event_prob(model: CommunityModel, question_id: str, answer_id: str,
                ctx: Context) -> float:
     """vote_prob with q and nu looked up from the model."""
-    return vote_prob(model, model.quality(question_id, answer_id), ctx,
-                     nu=model.nu_for(question_id))
+    return vote_prob(model, model.q[question_id][answer_id], ctx,
+                     nu=model.nu.get(question_id, 0.0))
 
 
 @pytest.fixture

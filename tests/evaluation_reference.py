@@ -1,16 +1,29 @@
 """The per-question evaluation: one question, one ranker and one
 comparison at a time, with one draw of the whole bootstrap matrix per
-comparison. Kept as the reference that the grouped array kernels and
-the blockwise bootstrap of `cva.evaluation` must match bit for bit."""
+comparison, and every score looked up by (question_id, answer_id). Kept
+as the reference that the grouped array kernels and the blockwise
+bootstrap of `cva.evaluation` must match bit for bit."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from cva.counterfactual import build_population, estimate_quality
 from cva.evaluation import (BOOTSTRAP_RESAMPLES, MIN_QUESTIONS_FOR_TEST,
-                            RANKER_CVA, RANKERS, EvaluationReport,
-                            NoRankableQuestionsError, RankingSet,
-                            SignificanceResult)
+                            RANKER_CVA, RANKER_NO_POSITION, RANKER_VOTE_DIFF,
+                            RANKERS, EvaluationReport,
+                            NoRankableQuestionsError, SignificanceResult)
+
+
+@dataclass(frozen=True)
+class RankingSet:
+    """Tie-resolved 1-based rankings of one question's answers."""
+
+    question_id: str
+    answer_ids: tuple[str, ...]          # in creation order
+    ranks: dict[str, list[int]]          # ranker -> ranks
+    truth_ranks: list[int]
 
 
 def rank_answers(scores):
@@ -133,3 +146,36 @@ def score_rankings(sets, seed):
                             per_question_tau=per_tau, mean_tau=mean_tau,
                             residual_sum=residual_sum, p_values=p_values,
                             insufficient_data=insufficient)
+
+
+def evaluate_rankers(community, model, ablation_model, truth_scores, seed,
+                     cva_score="q_hat"):
+    """`cva.evaluation.evaluate_rankers` composed from score dicts,
+    `build_ranking_sets` and `score_rankings`."""
+    population = build_population(community)
+    diffs = {}
+    for record in community:
+        for j, sign, _ in record.events:
+            key = (record.question_id, record.answers[j].answer_id)
+            diffs[key] = diffs.get(key, 0) + sign
+    diff_scores = {(record.question_id, a.answer_id):
+                   float(diffs.get((record.question_id, a.answer_id), 0))
+                   for record in community for a in record.answers}
+    if cva_score == "q":
+        cva_scores = {(qid, aid): q for qid, by_a in model.q.items()
+                      for aid, q in by_a.items()}
+    else:
+        cva_scores = estimate_quality(model, community, population)
+    ablation_scores = estimate_quality(ablation_model, community,
+                                       population)
+    sets, skipped = build_ranking_sets(
+        [(record.question_id, record.answers) for record in community],
+        truth_scores,
+        {RANKER_VOTE_DIFF: diff_scores, RANKER_CVA: cva_scores,
+         RANKER_NO_POSITION: ablation_scores})
+    if not sets:
+        raise NoRankableQuestionsError(
+            "no questions with at least two scored answers")
+    report = score_rankings(sets, seed)
+    report.n_skipped += skipped
+    return report

@@ -10,9 +10,11 @@ import pytest
 
 import cva
 from cva.cli import main
-from cva.model import load_model
+from cva.evaluation import evaluate_rankers
+from cva.model import CommunityModel, load_model, save_model
 from cva.simulate import toy_scenario
-from cva.trajectory import QuestionTrajectory, write_trajectories
+from cva.trajectory import (Answer, QuestionTrajectory, read_trajectories,
+                            write_trajectories)
 from conftest import GOLDEN_DIR
 
 SIM_CFG = """\
@@ -796,3 +798,36 @@ class TestEvaluateWithoutRankableQuestions:
             f"cva: {labels}: no questions with at least two scored "
             "answers\n")
         assert not (tmp_path / "r.json").exists()
+
+
+class TestRankByQ:
+    def test_report_ranks_by_fitted_quality(self, tmp_path):
+        # Both answers' vote probabilities clip to 1 - 1e-12 in every
+        # context, so their Q_hat are equal although q ranks a1 first.
+        trajs = tmp_path / "T.jsonl"
+        write_trajectories([QuestionTrajectory(
+            "q0", (Answer("q0-a0", 0, 100), Answer("q0-a1", 1, 100)),
+            ((0, 1, 100), (0, 1, 101), (1, 1, 102)))], trajs)
+        model = CommunityModel(q={"q0": {"q0-a0": 40.0, "q0-a1": 50.0}},
+                               nu={"q0": 0.0}, lam=1.0, beta=2.0)
+        save_model(model, tmp_path / "model.json")
+        truth = {"q0-a0": -0.5, "q0-a1": 0.5}
+        labels = tmp_path / "labels.csv"
+        labels.write_text("answer_id,score,source\n" + "".join(
+            f"{aid},{score},synthetic_truth\n"
+            for aid, score in truth.items()))
+        reports = []
+        for flags in ([], ["--rank-by-q"]):
+            out = tmp_path / f"report{len(flags)}.json"
+            assert run("evaluate", "--input", str(trajs),
+                       "--model", str(tmp_path / "model.json"),
+                       "--ablation", str(tmp_path / "model.json"),
+                       "--labels", str(labels), "--out", str(out),
+                       *flags) == 0
+            reports.append(json.loads(out.read_text()))
+        default, by_q = reports
+        assert by_q == evaluate_rankers(read_trajectories(trajs), model,
+                                        model, truth, seed=7,
+                                        cva_score="q").to_json()
+        assert by_q["per_question_tau"]["cva"] == [1.0]
+        assert default["per_question_tau"]["cva"] == [-1.0]

@@ -12,8 +12,7 @@ import pytest
 from cva.bias import herding_degree
 from cva.counterfactual import MOODS, build_population, \
     counterfactual_curve, estimate_quality
-from cva.evaluation import (RANKER_CVA, RANKER_NO_POSITION, RANKER_VOTE_DIFF,
-                            evaluate_rankers)
+from cva.evaluation import evaluate_rankers
 from cva.model import (CommunityModel, EncodedEvents, ParameterIndex,
                        model_to_json, vote_probs)
 from cva.simulate import SimConfig, generate
@@ -22,7 +21,7 @@ from cva.trajectory import (REL_LENGTH_CLIP, read_trajectories,
                             replay_community, sequential_sum,
                             write_trajectories)
 from conftest import contexts, reference_contexts
-from evaluation_reference import build_ranking_sets, score_rankings
+import evaluation_reference
 from test_counterfactual import brute_force_quality
 
 
@@ -128,7 +127,7 @@ class TestFitInputs:
 def walk_herding(model, trajs, drop_first):
     rows = []
     for (qid, aid), _, ctx in walk_events(trajs, drop_first):
-        rows.append((model.quality(qid, aid), model.nu_for(qid),
+        rows.append((model.q[qid][aid], model.nu.get(qid, 0.0),
                      ctx.pos_ratio, ctx.rel_length, ctx.rank,
                      1.0 if ctx.prior_pos >= ctx.prior_neg else -1.0))
     q, nu, ratio, length, rank, h = np.array(rows, dtype=float).T
@@ -155,7 +154,8 @@ def walk_curve(model, trajs, ranks, mood):
             if (mood == "pos" and r > 0.5) or (mood == "neg" and r < 0.5):
                 by_answer.setdefault(j, []).append(r)
         for j, answer in enumerate(traj.answers):
-            if not model.has_answer(traj.question_id, answer.answer_id):
+            q = model.q.get(traj.question_id, {}).get(answer.answer_id)
+            if q is None:
                 continue
             if mood == "neutral":
                 ratio = 0.5
@@ -163,10 +163,8 @@ def walk_curve(model, trajs, ranks, mood):
                 ratio = float(np.mean(by_answer[j]))
             else:
                 continue
-            total += vote_probs(model.quality(traj.question_id,
-                                              answer.answer_id),
-                                model.lam, ratio,
-                                model.nu_for(traj.question_id),
+            total += vote_probs(q, model.lam, ratio,
+                                model.nu.get(traj.question_id, 0.0),
                                 rel_len[j], model.beta,
                                 rank_grid)
             n_answers += 1
@@ -222,22 +220,6 @@ class TestScoreStages:
                  enumerate(c.answer_keys)}
         got = evaluate_rankers(c, model, model, truth, seed=1,
                                cva_score="q")
-        pop = build_population(trajs)
-        diffs = {}
-        for t in trajs:
-            for j, sign, _ in t.events:
-                key = (t.question_id, t.answers[j].answer_id)
-                diffs[key] = diffs.get(key, 0) + sign
-        scores = {
-            RANKER_VOTE_DIFF: {(t.question_id, a.answer_id):
-                               float(diffs.get((t.question_id, a.answer_id),
-                                               0))
-                               for t in trajs for a in t.answers},
-            RANKER_CVA: {(qid, aid): q for qid, by_a in model.q.items()
-                         for aid, q in by_a.items()},
-            RANKER_NO_POSITION: estimate_quality(model, trajs, pop)}
-        sets, skipped = build_ranking_sets(
-            [(t.question_id, t.answers) for t in trajs], truth, scores)
-        want = score_rankings(sets, seed=1)
-        want.n_skipped += skipped
+        want = evaluation_reference.evaluate_rankers(trajs, model, model,
+                                                     truth, 1, cva_score="q")
         assert got.to_json() == want.to_json()

@@ -187,10 +187,10 @@ def brute_force_quality(model, trajs, pop, aggregate, integrate_length):
         log_len = [math.log(a.text_length) for a in traj.answers]
         mean_ll = sum(log_len) / len(log_len)
         for j, answer in enumerate(traj.answers):
-            if not model.has_answer(traj.question_id, answer.answer_id):
+            q = model.q.get(traj.question_id, {}).get(answer.answer_id)
+            if q is None:
                 continue
-            q = model.quality(traj.question_id, answer.answer_id)
-            nu = model.nu_for(traj.question_id)
+            nu = model.nu.get(traj.question_id, 0.0)
             rel_len = min(max(log_len[j] - mean_ll, -3.0), 3.0)
             if aggregate == "mean":
                 value = mean_prob(q, nu, rel_len, pop.global_samples())

@@ -8,12 +8,13 @@ import pytest
 
 import evaluation_reference as reference
 from cva import evaluation
-from cva.evaluation import (RANKERS, EvaluationReport, RankingSet,
-                            build_ranking_sets, evaluate_rankers,
-                            kendall_tau, paired_significance, rank_answers,
-                            rank_zscores, residual_to_diagonal,
-                            score_rankings, winrates)
+from cva.counterfactual import build_population, estimate_quality
+from cva.evaluation import (EvaluationReport, NoRankableQuestionsError,
+                            evaluate_rankers, kendall_tau,
+                            paired_significance, rank_answers, rank_zscores,
+                            residual_to_diagonal, winrates)
 from cva.model import CommunityModel
+from cva.simulate import SimConfig, generate
 from cva.trajectory import Answer, QuestionTrajectory, replay_community
 
 
@@ -227,111 +228,77 @@ class TestBlockwiseBootstrap:
         assert peak < 8e6
 
 
-def random_ranking_sets(rng, n_sets, tied_share):
-    """Ranking sets of 2 to 40 answers. A `tied_share` of them carry
-    hand-made ranks with ties, some entirely tied (tau undefined)."""
-    sets = []
-    for i in range(n_sets):
-        k = int(rng.integers(2, 41))
-        truth = (rng.permutation(k) + 1).tolist()
-        ranks = {}
-        for r in RANKERS:
-            if rng.random() < tied_share:
-                ranks[r] = rng.integers(1, int(rng.integers(1, 4)) + 1,
-                                        size=k).tolist()
-            elif rng.random() < 0.5:   # close to the truth
-                ranks[r] = list(truth)
-                for _ in range(int(rng.integers(0, 3))):
-                    a, b = rng.integers(0, k, size=2)
-                    ranks[r][a], ranks[r][b] = ranks[r][b], ranks[r][a]
-            else:
-                ranks[r] = (rng.permutation(k) + 1).tolist()
-        if rng.random() < tied_share:
-            truth = [1] * k if rng.random() < 0.5 else \
-                rng.integers(1, 3, size=k).tolist()
-        sets.append(RankingSet(f"q{i}", tuple(f"q{i}-a{j}" for j in range(k)),
-                               ranks, truth))
-    return sets
+def oracle_case(seed):
+    """A small simulated community with partial labels, and a model and
+    an ablation model that each lack about a fifth of its answers and
+    about half of its questions' nu. Qualities and labels take a few
+    values, so equal scores are common: within a question without nu,
+    equal q give equal Q_hat."""
+    rng = np.random.default_rng(seed)
+    community, _ = generate(SimConfig(
+        n_questions=int(rng.integers(4, 30)),
+        n_events=int(rng.integers(150, 900)), crp_alpha=0.8,
+        true_lambda=1.0, true_beta=1.5, seed=seed))
+
+    def model(beta):
+        q = {}
+        for qid, aid in community.answer_keys:
+            if rng.random() < 0.8:
+                q.setdefault(qid, {})[aid] = float(rng.integers(-2, 3)) / 2
+        nu = {qid: float(rng.normal(0.0, 0.3))
+              for qid in community.question_ids if rng.random() < 0.5}
+        return CommunityModel(q=q, nu=nu, lam=0.7, beta=beta)
+
+    truth = {aid: float(rng.integers(0, 4))
+             for _, aid in community.answer_keys if rng.random() < 0.7}
+    return community, model(1.5), model(0.0), truth
 
 
-class TestGroupedKernels:
-    """`build_ranking_sets` and `score_rankings` against the per-question
-    reference, byte for byte."""
+class TestEvaluationOracle:
+    """`evaluate_rankers` against the per-question reference, which
+    looks every score up by key and ranks and scores one question at a
+    time, byte for byte."""
 
-    @pytest.mark.parametrize("n_sets, tied_share, seed", [
-        (3, 0.0, 0), (9, 0.3, 1), (10, 0.0, 2), (12, 0.3, 3),
-        (80, 0.1, 4), (200, 0.2, 5)])
-    def test_score_rankings(self, n_sets, tied_share, seed):
-        rng = np.random.default_rng(seed)
-        sets = random_ranking_sets(rng, n_sets, tied_share)
-        got = score_rankings(sets, seed=seed)
-        want = reference.score_rankings(sets, seed)
+    @pytest.mark.parametrize("cva_score", ["q_hat", "q"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_per_question_reference(self, seed, cva_score):
+        community, model, ablation, truth = oracle_case(seed)
+        got = evaluate_rankers(community, model, ablation, truth,
+                               seed=seed, cva_score=cva_score)
+        want = reference.evaluate_rankers(community, model, ablation, truth,
+                                          seed, cva_score=cva_score)
         assert json.dumps(got.to_json()) == json.dumps(want.to_json())
-        assert got.n_skipped == want.n_skipped
-        assert got.insufficient_data == (want.n_questions < 10)
 
-    def test_unscorable_questions_skipped(self):
-        # tau undefined (a side entirely tied) or rankings of unequal length
-        sets = random_ranking_sets(np.random.default_rng(6), 13, 0.0)
-        sets[3] = RankingSet("tied", ("a", "b", "c"),
-                             {r: [1, 2, 3] for r in RANKERS}, [2, 2, 2])
-        sets[5].ranks["cva"][:] = [4] * len(sets[5].truth_ranks)
-        sets[8] = RankingSet("short", ("a", "b", "c"),
-                             {r: [1, 2, 3] for r in RANKERS}, [3, 1, 2])
-        sets[8].ranks["cva"].pop()
-        got = score_rankings(sets, seed=1)
-        assert got.n_questions == 10 and got.n_skipped == 3
-        assert json.dumps(got.to_json()) == \
-            json.dumps(reference.score_rankings(sets, 1).to_json())
+    def test_one_question_per_block(self, monkeypatch):
+        # tau-b and the bootstrap split their rows into blocks of one
+        monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", 1)
+        community, model, ablation, truth = oracle_case(2)
+        got = evaluate_rankers(community, model, ablation, truth, seed=5)
+        want = reference.evaluate_rankers(community, model, ablation, truth,
+                                          5)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        assert got.n_questions >= 10
+
+    def test_cases_hold_ties_gaps_and_both_bootstrap_branches(self):
+        tied = partial = insufficient = 0
+        for seed in range(40):
+            community, model, _, truth = oracle_case(seed)
+            q_hat = estimate_quality(model, community,
+                                     build_population(community))
+            tied += len(set(q_hat.values())) < len(q_hat)
+            partial += len(q_hat) < community.n_answers \
+                and len(truth) < community.n_answers
+            insufficient += evaluate_rankers(
+                community, model, model, truth, seed=0).insufficient_data
+        assert partial == 40 and tied > 30
+        assert 0 < insufficient < 40
 
     def test_no_rankable_question(self):
-        tied = RankingSet("q", ("a", "b"), {r: [1, 2] for r in RANKERS},
-                          [1, 1])
-        with pytest.raises(evaluation.NoRankableQuestionsError):
-            score_rankings([tied], seed=0)
-
-    def test_bootstrap_is_one_call(self, monkeypatch):
-        # The four comparisons share one resampling, in one traced call.
-        calls = []
-        real = evaluation.paired_significance
-
-        def spy(deltas, seed):
-            calls.append(np.shape(deltas))
-            return real(deltas, seed)
-        monkeypatch.setattr(evaluation, "paired_significance", spy)
-        sets = random_ranking_sets(np.random.default_rng(7), 15, 0.0)
-        score_rankings(sets, seed=0)
-        assert calls == [(4, 15)]
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_build_ranking_sets(self, seed):
-        rng = np.random.default_rng(seed)
-        trajs, truth = [], {}
-        scores = {r: {} for r in RANKERS}
-        for i in range(60):
-            k = int(rng.integers(1, 41))
-            answers = tuple(Answer(f"q{i}-a{j}", j, 100) for j in range(k))
-            trajs.append((f"q{i}", answers))
-            for a in answers:
-                if rng.random() < 0.9:
-                    truth[a.answer_id] = float(rng.normal())
-                for r in RANKERS:
-                    if rng.random() < 0.95:
-                        # few distinct values, so ties are common
-                        scores[r][(f"q{i}", a.answer_id)] = \
-                            float(rng.integers(-3, 4)) * 0.5
-        got = build_ranking_sets(trajs, truth, scores)
-        assert got == reference.build_ranking_sets(trajs, truth, scores)
-        assert all(type(x) is int for rs in got[0]
-                   for x in rs.truth_ranks + rs.ranks["cva"])
-
-    def test_non_finite_score_rejected(self):
-        answers = tuple(Answer(f"q-a{j}", j, 100) for j in range(3))
-        scores = {"cva": {("q", "q-a0"): 1.0, ("q", "q-a1"): float("nan"),
-                          ("q", "q-a2"): 0.0}}
-        truth = {"q-a0": 0.1, "q-a1": 0.2, "q-a2": 0.3}
-        with pytest.raises(ValueError, match="scores must be finite"):
-            build_ranking_sets([("q", answers)], truth, scores)
+        community, model, ablation, _ = oracle_case(0)
+        for evaluate in (evaluate_rankers, reference.evaluate_rankers):
+            with pytest.raises(NoRankableQuestionsError,
+                               match="no questions with at least two"):
+                evaluate(community, model, ablation, {}, 0)
 
 
 def report(kt_cva, kt_vd, kt_ab, res_cva=1.0, res_vd=2.0, res_ab=2.0):
@@ -387,8 +354,12 @@ class TestPipeline:
         return QuestionTrajectory(qid, answers, events)
 
     @staticmethod
-    def pairs(trajs):
-        return [(t.question_id, t.answers) for t in trajs]
+    def full_model(trajs):
+        """A model that holds every answer, better the earlier it came."""
+        return CommunityModel(
+            q={t.question_id: {a.answer_id: 0.5 - 0.2 * i
+                               for i, a in enumerate(t.answers)}
+               for t in trajs}, lam=0.5, beta=1.0)
 
     def test_noiseless_vote_diff_recovers_truth(self):
         # diffs ordered exactly like the truth => tau 1 for vote_diff
@@ -396,15 +367,10 @@ class TestPipeline:
                  self.make_question("q1", [4, 2])]
         truth = {"q0-a0": 0.9, "q0-a1": 0.5, "q0-a2": 0.1,
                  "q1-a0": 0.8, "q1-a1": 0.2}
-        diff_scores = {(t.question_id, a.answer_id): float(d)
-                       for t in trajs
-                       for a, d in zip(
-                           t.answers,
-                           [5, 3, 1] if t.question_id == "q0" else [4, 2])}
-        sets, skipped = build_ranking_sets(self.pairs(trajs), truth,
-                                           {"vote_diff": diff_scores})
-        assert skipped == 0
-        rep = score_rankings(sets, seed=0)
+        model = self.full_model(trajs)
+        rep = evaluate_rankers(replay_community(trajs), model, model, truth,
+                               seed=0)
+        assert rep.n_questions == 2 and rep.n_skipped == 0
         assert rep.mean_tau["vote_diff"] == 1.0
         assert rep.residual_sum["vote_diff"] == pytest.approx(0.0,
                                                               abs=1e-24)
@@ -413,11 +379,36 @@ class TestPipeline:
         trajs = [self.make_question("q0", [2, 1]),
                  self.make_question("q1", [2, 1])]
         truth = {"q0-a0": 0.5, "q0-a1": 0.1, "q1-a0": 0.4}  # q1: 1 label
-        scores = {(t.question_id, a.answer_id): 1.0 * (1 - i)
-                  for t in trajs for i, a in enumerate(t.answers)}
-        sets, skipped = build_ranking_sets(self.pairs(trajs), truth,
-                                           {"vote_diff": scores})
-        assert len(sets) == 1 and skipped == 1
+        model = self.full_model(trajs)
+        rep = evaluate_rankers(replay_community(trajs), model, model, truth,
+                               seed=0)
+        assert rep.n_questions == 1 and rep.n_skipped == 1
+        assert list(rep.per_question_tau["vote_diff"]) == [1.0]
+
+    def test_bootstrap_is_one_call(self, monkeypatch):
+        # The four comparisons share one resampling, in one traced call.
+        calls = []
+        real = evaluation.paired_significance
+
+        def spy(deltas, seed):
+            calls.append(np.shape(deltas))
+            return real(deltas, seed)
+        monkeypatch.setattr(evaluation, "paired_significance", spy)
+        trajs = [self.make_question(f"q{i}", [3, 2, 1]) for i in range(15)]
+        model = self.full_model(trajs)
+        truth = {a.answer_id: float(i % 2)
+                 for t in trajs for i, a in enumerate(t.answers)}
+        evaluate_rankers(replay_community(trajs), model, model, truth,
+                         seed=0)
+        assert calls == [(4, 15)]
+
+    def test_non_finite_truth_rejected(self):
+        trajs = [self.make_question("q", [2, 1, 1])]
+        model = self.full_model(trajs)
+        truth = {"q-a0": 1.0, "q-a1": float("nan"), "q-a2": 0.0}
+        with pytest.raises(ValueError, match="scores must be finite"):
+            evaluate_rankers(replay_community(trajs), model, model, truth,
+                             seed=0)
 
     def test_evaluate_rankers_end_to_end(self):
         trajs = [self.make_question(f"q{i}", [3, 2, 1]) for i in range(12)]

@@ -317,3 +317,39 @@ class TestSerialization:
         assert set(obj) == {"lambda", "beta", "l2_weight", "nu", "q",
                             "fit_meta"}
         assert model_from_json(obj).lam == 0.0
+
+
+class TestBySlot:
+    """`CommunityModel.by_slot` against one dict lookup per answer."""
+
+    @staticmethod
+    def lookups(model, community):
+        keys = community.answer_keys
+        return ([aid in model.q.get(qid, {}) for qid, aid in keys],
+                [model.q.get(qid, {}).get(aid, 0.0) for qid, aid in keys],
+                [model.nu.get(qid, 0.0) for qid, _ in keys])
+
+    def test_matches_dict_lookups(self):
+        # "a1" answers two questions; the model lacks q1/a2, q2/a1 and
+        # q3/x and the nu of q2 and q3, and holds q1/zz and all of q9
+        community = replay_community([
+            QuestionTrajectory("q1", (Answer("a1", 1, 10),
+                                      Answer("a2", 2, 20)), ()),
+            QuestionTrajectory("q2", (Answer("a1", 1, 10), Answer("b", 2, 5),
+                                      Answer("c", 3, 7)), ()),
+            QuestionTrajectory("q3", (Answer("x", 1, 3),), ())])
+        model = CommunityModel(q={"q1": {"a1": 0.5, "zz": 9.0},
+                                  "q2": {"b": -1.25, "c": 2.0},
+                                  "q9": {"x": 4.0}},
+                               nu={"q1": 0.3, "q9": -2.0})
+        modelled, q, nu = model.by_slot(community)
+        assert (modelled.dtype, q.dtype, nu.dtype) == (bool, float, float)
+        assert (modelled.tolist(), q.tolist(), nu.tolist()) == \
+            self.lookups(model, community)
+        assert modelled.tolist() == [True, False, False, True, True, False]
+
+    def test_empty_community(self):
+        model = CommunityModel(q={"q1": {"a1": 0.5}}, nu={"q1": 0.3})
+        modelled, q, nu = model.by_slot(replay_community([]))
+        assert modelled.shape == q.shape == nu.shape == (0,)
+        assert (modelled.dtype, q.dtype, nu.dtype) == (bool, float, float)

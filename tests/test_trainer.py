@@ -145,7 +145,7 @@ class TestFit:
         rows = training_events(trajs).rows
         for qid, aid in map(trajs.answer_keys.__getitem__,
                             trajs.answer_slot[rows].tolist()):
-            assert model.has_answer(qid, aid)
+            assert aid in model.q[qid]
             assert qid in model.nu
 
 
