@@ -19,12 +19,18 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .configio import check_json_object, is_number, read_json, write_json
 from .trajectory import Community
 
 PROB_CLIP = 1e-12  # keeps log-likelihood terms finite
+
+
+def _sigmoid(x):
+    """1 / (1 + exp(-x)), elementwise; exp overflows to inf below about
+    -709.78, which gives the exact limit 0.0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -57,8 +63,8 @@ class CommunityModel:
 def vote_probs(q, lam, ratio, nu, rel_length, beta, rank) -> np.ndarray:
     """Clipped sigmoid(q + lam * R + nu * L + beta / (1 + D)), elementwise
     over arrays or scalars."""
-    return np.clip(expit(q + lam * ratio + nu * rel_length
-                         + beta / (1.0 + rank)), PROB_CLIP, 1.0 - PROB_CLIP)
+    return np.clip(_sigmoid(q + lam * ratio + nu * rel_length
+                            + beta / (1.0 + rank)), PROB_CLIP, 1.0 - PROB_CLIP)
 
 
 class ParameterIndex:
@@ -197,7 +203,7 @@ def objective_and_grad(theta: np.ndarray, data: EncodedEvents,
                          + (idx.freeze_beta or 0.0) ** 2)
         return obj, w * theta
 
-    p = expit(_predictor(theta, data))
+    p = _sigmoid(_predictor(theta, data))
     p_safe = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
     nll = -float(np.sum(data.v * np.log(p_safe)
                         + (1.0 - data.v) * np.log(1.0 - p_safe)))
@@ -245,7 +251,7 @@ class BlockHessian:
         w = l2_weight
         self.data = data
         n_q, n_nu = len(idx.q_keys), len(idx.nu_keys)
-        p = expit(_predictor(theta, data))
+        p = _sigmoid(_predictor(theta, data))
         h = p * (1.0 - p)
         mask = data.nu_slot >= 0
         nu_rows = data.nu_slot[mask]

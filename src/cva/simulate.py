@@ -14,6 +14,7 @@ debiasing on six-vote examples.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import logging
 import math
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 from .configio import InputError, parse_typed
 from .trajectory import (Answer, Community, QuestionTrajectory,
@@ -153,13 +153,21 @@ def _zipf_weights(s: float, n_questions: int) -> np.ndarray:
         return 1.0 / np.arange(1, n_questions + 1) ** s
 
 
+def _sigmoid(x: float) -> float:
+    """1 / (1 + exp(-x)); 0.0 below about -709.78, where exp overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def crp_new_answer(rng: np.random.Generator, n_prior: int,
                    alpha: float) -> bool:
     """Open-a-new-answer gate: True with probability alpha/(n_prior+alpha)."""
     return rng.random() < alpha / (n_prior + alpha)
 
 
-def choice_cdf(p: np.ndarray) -> np.ndarray:
+def choice_cdf(p: np.ndarray) -> tuple[float, ...]:
     """The CDF that `Generator.choice(len(p), p=p)` searches, validated as
     it validates `p`; build it once and draw from it with `draw_index`."""
     p = np.asarray(p, dtype=float)
@@ -171,21 +179,19 @@ def choice_cdf(p: np.ndarray) -> np.ndarray:
         raise ValueError("probabilities do not sum to 1")
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    return cdf
+    return tuple(cdf.tolist())
 
 
-def draw_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+def draw_index(rng: np.random.Generator, cdf: tuple[float, ...]) -> int:
     """The index `Generator.choice` draws for `cdf`, from the same single
     `rng.random()`, in O(log n)."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return bisect.bisect_right(cdf, rng.random())
 
 
 @functools.lru_cache(maxsize=None)
-def _inverse_rank_cdf(n_ranks: int) -> np.ndarray:
+def _inverse_rank_cdf(n_ranks: int) -> tuple[float, ...]:
     weights = 1.0 / (1.0 + np.arange(n_ranks))
-    cdf = choice_cdf(weights / weights.sum())
-    cdf.setflags(write=False)  # shared by every caller
-    return cdf
+    return choice_cdf(weights / weights.sum())
 
 
 def pick_inverse_rank(rng: np.random.Generator, n_ranks: int) -> int:
@@ -319,7 +325,7 @@ def generate(config: SimConfig) -> tuple[Community, dict[str, float]]:
         x = (truth[state.answers[j].answer_id] + config.true_lambda * ratio
              + config.true_nu * state.rel_length(j)
              + config.true_beta / (1.0 + (position + 1)))
-        sign = +1 if rng.random() < expit(x) else -1
+        sign = +1 if rng.random() < _sigmoid(x) else -1
         state.votes.append((j, sign, step))
         (pos if sign > 0 else neg)[j] += 1
 

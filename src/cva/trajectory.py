@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -170,10 +170,14 @@ def _check_votes(question_id: str, triples: Iterable) -> None:
 class _Records:
     """A community's raw records, question by question, with their votes
     in flat int64 columns, which `community` validates and replays. A
-    question is taken in whole or, at a key or type fault, not at all."""
+    question is taken in whole or, at a key or type fault, not at all; a
+    repeated question_id is taken in, then raised, with `first_at(i)` of
+    the question that first had it appended to the message."""
 
-    def __init__(self):
+    def __init__(self, first_at: Callable[[int], str] = lambda i: ""):
+        self.first_at = first_at
         self.question_ids: list[str] = []
+        self._first: dict[str, int] = {}  # each question_id's first record
         self.answers: list[tuple[Answer, ...]] = []
         self.n_votes: list[int] = []
         # answer_index, sign and timestamp
@@ -197,6 +201,12 @@ class _Records:
         self.question_ids.append(question_id)
         self.answers.append(answers)
         self.n_votes.append(len(self.votes[0]) - start)
+        i = len(self.question_ids) - 1
+        first = self._first.setdefault(question_id, i)
+        if first != i:
+            raise MalformedTrajectoryError(
+                f"duplicate question_id {question_id!r}"
+                + self.first_at(first))
 
     def add_json(self, obj: dict, text: Optional[str] = None) -> None:
         """Append the question of one JSONL line, parsed from `text`."""
@@ -511,7 +521,8 @@ class Community(Sequence[QuestionTrajectory]):
 def replay_community(trajectories: Iterable[QuestionTrajectory]
                      ) -> Community:
     """The Community of `trajectories`, validated and replayed as
-    `read_trajectories` reads a file's lines."""
+    `read_trajectories` reads a file's lines, a repeated question_id
+    included."""
     records = _Records()
     for traj in trajectories:
         try:
@@ -589,9 +600,8 @@ def _reason(exc: Exception) -> str:
 
 def read_trajectories(path) -> Community:
     """Read, validate and replay a trajectory JSONL into a Community."""
-    records = _Records()
     lines: list[int] = []  # the line of each question
-    first_line: dict[str, int] = {}
+    records = _Records(lambda i: f" (first on line {lines[i]})")
 
     def at_line(i: int) -> str:
         return f"{path}:{lines[i]}: "
@@ -605,15 +615,10 @@ def read_trajectories(path) -> Community:
                 line = line.strip()
                 if not line:
                     continue
+                lines.append(lineno)
                 try:
                     records.add_json(json.loads(line), line)
-                    lines.append(lineno)
-                    question_id = records.question_ids[-1]
-                    first = first_line.setdefault(question_id, lineno)
-                    if first == lineno:
-                        continue
-                    reason = (f"duplicate question_id {question_id!r} "
-                              f"(first on line {first})")
+                    continue
                 except (ValueError, TypeError, KeyError) as exc:
                     reason = _reason(exc)
             # an earlier line's, or this line's, broken rule

@@ -282,10 +282,14 @@ def reference_read(path) -> Community:
 
 def reference_replay(trajectories: Iterable[QuestionTrajectory]
                      ) -> Community:
-    """The Community of `trajectories`, replayed vote by vote."""
+    """The Community of `trajectories`, replayed vote by vote; a repeated
+    question_id raises once its record is replayed."""
     cols = _Columns()
     for traj in trajectories:
         answers = _typed_answers(traj.question_id, traj.answers)
         cols.replay(traj.question_id, answers,
                     _typed_votes(traj.question_id, traj.events))
+        if traj.question_id in cols.question_ids[:-1]:
+            raise MalformedTrajectoryError(
+                f"duplicate question_id {traj.question_id!r}")
     return cols.community()

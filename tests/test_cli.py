@@ -42,6 +42,11 @@ def run(*argv):
     return main(list(argv))
 
 
+def _cva_env():
+    """The environment of a child process that imports this cva."""
+    return dict(os.environ, PYTHONPATH=str(Path(cva.__file__).parents[1]))
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Simulated community with fitted models, shared across CLI tests."""
@@ -261,11 +266,10 @@ class TestProfileAndMap:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(MODEL_KEYS))
         T = workspace / "T.jsonl"
-        env = dict(os.environ, PYTHONPATH=str(Path(cva.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "cva.cli", "profile", "--model", str(path),
              "--input", str(T), "--out", str(tmp_path / "p.json")],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_cva_env())
         assert proc.returncode == 2
         assert proc.stderr == f"cva: {T}: no votes to score\n"
         assert not (tmp_path / "p.json").exists()
@@ -642,16 +646,83 @@ class TestNoPerVoteObjects:
             assert run(*map(str, argv)) == 0, argv[0]
 
 
-def test_cli_does_not_import_scipy_optimize():
-    # the fit has its own Newton solver; scipy.optimize would add about
-    # 24 MiB and 0.2 s to every command's start-up
-    env = dict(os.environ, PYTHONPATH=str(Path(cva.__file__).parents[1]))
+# Runs each argv list of sys.argv[1] (JSON) through cva.cli.main with
+# every scipy import refused, and prints their exit codes.
+_WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from cva.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # cva depends on numpy alone; scipy would add about 25 MiB and 0.15 s
+    # to every command's start-up. A blocked import, at start-up or in a
+    # function, fails its command.
+    (tmp_path / "sim.cfg").write_text(SIM_CFG)
+    T, model = tmp_path / "T.jsonl", tmp_path / "model.json"
+    ablation, truth = tmp_path / "ablation.json", tmp_path / "truth.csv"
+    commands = [
+        ("simulate", "--config", tmp_path / "sim.cfg", "--out", T,
+         "--truth", truth),
+        ("fit", "--input", T, "--out", model),
+        ("fit", "--input", T, "--freeze-beta", "0", "--out", ablation),
+        ("quality", "--model", model, "--input", T,
+         "--out", tmp_path / "q.csv"),
+        ("quality", "--model", model, "--input", T, "--mode",
+         "per-time-sum", "--out", tmp_path / "qs.csv"),
+        ("profile", "--model", model, "--input", T,
+         "--out", tmp_path / "p.json"),
+        ("map", "--profiles", tmp_path / "p.json",
+         "--out", tmp_path / "map.csv"),
+        ("counterfactual", "--model", model, "--input", T,
+         "--out", tmp_path / "c.csv"),
+        ("evaluate", "--input", T, "--model", model, "--ablation", ablation,
+         "--labels", truth, "--out", tmp_path / "r.json"),
+        ("toy", "--scenario", "1a", "--out", tmp_path / "toy.csv"),
+        ("ingest", "--posts", GOLDEN_DIR / "Posts.xml",
+         "--votes", GOLDEN_DIR / "Votes.xml",
+         "--posthistory", GOLDEN_DIR / "PostHistory.xml",
+         "--out", tmp_path / "ingested.jsonl", "--min-questions", "1"),
+    ]
+    argvs = [list(map(str, argv)) for argv in commands]
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import cva.cli, sys; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, env=env)
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
+        capture_output=True, text=True, env=_cva_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands), list(zip(argvs, codes))
+
+
+def test_extreme_qualities_score_without_stderr(workspace, tmp_path):
+    # logits near -1000 overflow exp; scoring takes the sigmoid's limit
+    # and prints no warning. Child processes, as in
+    # test_no_modelled_answer_exit_2, so that stderr is the command's own.
+    community = read_trajectories(workspace / "T.jsonl")
+    model = CommunityModel(
+        q={qid: {a.answer_id: -1000.0 for a in answers}
+           for qid, answers in zip(community.question_ids,
+                                   community.answers)},
+        lam=1.0, beta=1.5)
+    save_model(model, tmp_path / "model.json")
+    scoring = [("quality", "--out", tmp_path / "q.csv"),
+               ("quality", "--mode", "per-time-sum",
+                "--out", tmp_path / "qs.csv"),
+               ("profile", "--out", tmp_path / "p.json")]
+    for command, *rest in scoring:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cva.cli", command,
+             "--model", str(tmp_path / "model.json"),
+             "--input", str(workspace / "T.jsonl"), *map(str, rest)],
+            capture_output=True, text=True, env=_cva_env())
+        assert (proc.returncode, proc.stderr) == (0, ""), command
 
 
 MODEL_KEYS = {"q": {}, "lambda": 1.0, "nu": {}, "beta": 0.0,

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import cva
-from cva.model import (BlockHessian, CommunityModel, EncodedEvents,
-                       ParameterIndex, model_from_json, model_to_json,
-                       objective_and_grad, load_model, save_model)
+from cva.model import (PROB_CLIP, BlockHessian, CommunityModel,
+                       EncodedEvents, ParameterIndex, model_from_json,
+                       model_to_json, objective_and_grad, load_model,
+                       save_model, vote_probs)
 from cva.trajectory import (Answer, MalformedTrajectoryError,
                             QuestionTrajectory, replay_community)
 from conftest import (Context, event_columns, event_prob, nll_and_grad,
@@ -87,13 +88,19 @@ class TestVoteProb:
         probs = [vote_prob(m, 0.0, ctx(rank=d)) for d in range(1, 30)]
         assert all(a > b for a, b in zip(probs, probs[1:]))
 
+    @pytest.mark.filterwarnings("error")
     def test_clipping_keeps_probability_loggable(self):
+        # exp overflows a float past a logit of about -709.78: the sigmoid
+        # takes its limit there, with no warning
         m = CommunityModel()
         hi = vote_prob(m, 800.0, ctx())
         lo = vote_prob(m, -800.0, ctx())
         assert hi == 1.0 - 1e-12
         assert lo == 1e-12
         assert math.isfinite(math.log(hi)) and math.isfinite(math.log(lo))
+        logits = np.array([-1000.0, 1000.0])
+        p = vote_probs(logits, 0.0, 0.5, 0.0, 0.0, 0.0, 1)
+        assert p.tolist() == [PROB_CLIP, 1.0 - PROB_CLIP]
 
     def test_event_prob_uses_model_lookups(self):
         m = CommunityModel(q={"q1": {"a1": 0.3}}, nu={"q1": 0.5}, lam=1.0,
@@ -140,6 +147,25 @@ class TestObjective:
         events = event_columns([(("q1", "a1"), 1, ctx()),
                                 (("q1", "a1"), 0, ctx())])
         assert EncodedEvents(index, events).v.tolist() == [1.0, 0.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_logits_finite(self):
+        # each answer gets one negative and one positive vote
+        keys = [("q", "lo"), ("q", "hi")]
+        events = event_columns([(key, v, ctx()) for key in keys
+                                for v in (0, 1)])
+        index = ParameterIndex(keys, ["q"])
+        data = EncodedEvents(index, events)
+        theta = np.zeros(index.size)
+        theta[index.q_slot(("q", "lo"))] = -1000.0
+        theta[index.q_slot(("q", "hi"))] = 800.0
+        obj, grad = objective_and_grad(theta, data, 1.0)
+        assert np.all(np.isfinite(grad))
+        # the vote against each sign costs -log(PROB_CLIP)
+        assert obj == pytest.approx(
+            2 * -math.log(PROB_CLIP) + 0.5 * (1000.0 ** 2 + 800.0 ** 2))
+        hess = BlockHessian(theta, data, 1.0)
+        assert hess.q_diag.tolist() == [1.0, 1.0]  # p(1 - p) is 0 at both
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(20):

@@ -35,9 +35,9 @@ class TestGenerate:
                         true_lambda=1.0, true_beta=2.0, true_nu=0.5,
                         seed=33)
         logits = []
-        real_expit = simulate.expit
-        monkeypatch.setattr(simulate, "expit",
-                            lambda x: logits.append(x) or real_expit(x))
+        real_sigmoid = simulate._sigmoid
+        monkeypatch.setattr(simulate, "_sigmoid",
+                            lambda x: logits.append(x) or real_sigmoid(x))
         community, truth = generate(cfg)
         assert len(community.sign) > 50
         q = np.array([truth[community.answers[i][j].answer_id] for i, j
@@ -48,6 +48,19 @@ class TestGenerate:
         by_time = np.argsort(community.timestamp, kind="stable")
         assert [x.hex() for x in replayed[by_time].tolist()] == \
                [x.hex() for x in logits]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("quality_mean, sign", [(-1000.0, -1),
+                                                    (1000.0, +1)])
+    def test_extreme_quality_gives_one_sign(self, quality_mean, sign):
+        # past a logit of about -709.78 exp overflows a float; the draw
+        # takes the sigmoid's limit 0 there instead of raising
+        cfg = SimConfig(n_questions=10, n_events=200, crp_alpha=0.5,
+                        quality_mean=quality_mean, true_lambda=1.0,
+                        true_beta=2.0, seed=3)
+        community, _ = generate(cfg)
+        assert len(community.sign) > 50
+        assert set(community.sign.tolist()) == {sign}
 
     def test_log_lengths_summed_left_to_right(self):
         # From Python 3.12 on, the built-in sum() of floats compensates

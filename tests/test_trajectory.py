@@ -286,6 +286,17 @@ class TestValidation:
         assert community.answer_keys == (("q", "a0"), ("q", "a1"),
                                          ("r", "a0"), ("r", "a1"))
 
+    def test_repeated_question_id(self):
+        # as in a file: the repeat is raised after any earlier rule fault
+        valid = make_traj(1, [(0, +1)])
+        other = replace(valid, question_id="p")
+        broken = replace(make_traj(1, [(0, +2)]), question_id="p")
+        with pytest.raises(MalformedTrajectoryError) as info:
+            replay_community([valid, other, valid])
+        assert str(info.value) == "duplicate question_id 'q'"
+        with pytest.raises(MalformedTrajectoryError, match="p: event sign"):
+            replay_community([valid, broken, valid])
+
     def test_bad_sign_rejected(self):
         traj = make_traj(1, [(0, +2)])
         with pytest.raises(MalformedTrajectoryError):
