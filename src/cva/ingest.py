@@ -20,9 +20,10 @@ import logging
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from datetime import datetime
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, KeysView, Optional, Union
 from xml.parsers import expat
 
 from .configio import InputError, not_utf8, utf8_lines
@@ -71,6 +72,9 @@ class RejectLog:
         return len(self.entries)
 
 
+_EPOCH = datetime(1970, 1, 1)
+
+
 def _parse_date(text: str) -> int:
     try:
         dt = datetime.fromisoformat(text)
@@ -84,7 +88,9 @@ def _parse_date(text: str) -> int:
         except ValueError:
             raise exc from None  # the message names the date as given
     if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
+        # the timedelta and the correctly rounded division that an aware
+        # datetime's timestamp() takes, without building one
+        return int((dt - _EPOCH).total_seconds())
     return int(dt.timestamp())
 
 
@@ -125,6 +131,50 @@ def _parse_row(text: str) -> tuple[str, dict]:
     return elem.tag, elem.attrib
 
 
+# Dump lines read, and plain rows parsed together, at a time.
+_BLOCK_LINES = 256
+
+
+def _parse_block(texts: list[str]) -> list[Optional[tuple[str, dict]]]:
+    """(tag, attributes) of each plain row line of a block of stripped
+    lines, as `_parse_row` reads it; None for every other line.
+
+    The plain lines are read by one expat parse of them all, wrapped in
+    a synthetic element. A plain line is UTF-8 (a lone surrogate would
+    make the parse raise UnicodeEncodeError) and starts with `<row`,
+    ends with `/>` and holds one `<` and one `>`: a single empty tag and
+    nothing else, whose text after the tag would otherwise pass as the
+    wrapper's character data. If the parse fails, or yields other than
+    one element per plain line, or a namespaced name, every line of the
+    block is None and is read alone.
+    """
+    rows: list[Optional[tuple[str, dict]]] = [None] * len(texts)
+    plain = [i for i, text in enumerate(texts)
+             if text.startswith("<row") and text.endswith("/>")
+             and text.count("<") == 1 and text.count(">") == 1
+             and not_utf8(text) is None]
+    if not plain:
+        return rows
+    found = []
+    parser = expat.ParserCreate(None, "}")
+    parser.StartElementHandler = lambda tag, attrs: \
+        found.append((tag, attrs))
+    try:
+        parser.Parse("<r>" + "\n".join([texts[i] for i in plain]) + "</r>",
+                     True)
+    except expat.ExpatError:
+        return rows
+    del found[0]  # the wrapper
+    if len(found) != len(plain):
+        return rows
+    tags, attrs = zip(*found)
+    if "}" in "".join(tags) or "}" in "".join(chain.from_iterable(attrs)):
+        return rows
+    for i, row in zip(plain, found):
+        rows[i] = row
+    return rows
+
+
 def _iter_rows(path, rejects: RejectLog, kind: str
                ) -> Iterator[tuple[int, dict]]:
     """Yield (line number, attributes) for each <row/> line of a dump file.
@@ -132,40 +182,61 @@ def _iter_rows(path, rejects: RejectLog, kind: str
     Anything that is not a parseable row element, holds bytes that are
     not UTF-8, or whose int or date attribute does not convert goes to
     the reject log; wrapper lines (declaration, opening/closing list
-    tags) are skipped silently.
+    tags) are skipped silently. Lines are read in blocks of
+    `_BLOCK_LINES`, plain rows parsed together (`_parse_block`); rows,
+    rejects and line numbers are those of reading line by line.
     """
     converters = _CONVERTERS[kind].items()
+    lineno = 0
     # Undecodable bytes become lone surrogates, so the line that holds
     # them is the one reported.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            reason = not_utf8(line)
-            if reason is not None:
-                rejects.add(lineno, f"{kind}: {reason}")
-                continue
-            stripped = line.strip()
-            if "<row" not in stripped:
-                continue
-            try:
-                tag, attrs = _parse_row(stripped)
-            except ET.ParseError as exc:
-                rejects.add(lineno, f"{kind}: malformed XML row ({exc})")
-                continue
-            if tag != "row":
-                rejects.add(lineno, f"{kind}: unexpected element <{tag}>")
-                continue
-            try:
-                for name, convert in converters:
-                    if name in attrs:
-                        attrs[name] = convert(attrs[name])
-            except ValueError as exc:
-                rejects.add(lineno, f"{kind}: bad value ({exc})")
-                continue
-            yield lineno, attrs
+        while lines := list(islice(fh, _BLOCK_LINES)):
+            texts = [line.strip() for line in lines]
+            for line, stripped, row in zip(lines, texts,
+                                           _parse_block(texts)):
+                lineno += 1
+                if row is None:
+                    reason = not_utf8(line)
+                    if reason is not None:
+                        rejects.add(lineno, f"{kind}: {reason}")
+                        continue
+                    if "<row" not in stripped:
+                        continue
+                    try:
+                        row = _parse_row(stripped)
+                    except ET.ParseError as exc:
+                        rejects.add(lineno,
+                                    f"{kind}: malformed XML row ({exc})")
+                        continue
+                tag, attrs = row
+                if tag != "row":
+                    rejects.add(lineno, f"{kind}: unexpected element <{tag}>")
+                    continue
+                try:
+                    for name, convert in converters:
+                        if name in attrs:
+                            attrs[name] = convert(attrs[name])
+                except ValueError as exc:
+                    rejects.add(lineno, f"{kind}: bad value ({exc})")
+                    continue
+                yield lineno, attrs
 
 
-def _require(attrs: dict[str, str], names: Iterable[str]) -> list[str]:
-    return [n for n in names if n not in attrs]
+# Attributes a row must hold, in the order a reject names the missing;
+# a dict's key view is a set kept in that order.
+_POST_FIELDS = dict.fromkeys(("Id", "PostTypeId", "CreationDate")).keys()
+_ANSWER_FIELDS = dict.fromkeys(("ParentId", "Body")).keys()
+_VOTE_FIELDS = dict.fromkeys(("Id", "PostId", "VoteTypeId",
+                              "CreationDate")).keys()
+_HISTORY_FIELDS = dict.fromkeys(("Id", "PostHistoryTypeId",
+                                 "PostId")).keys()
+
+
+def _require(attrs: dict, required: KeysView[str]) -> list[str]:
+    if attrs.keys() >= required:
+        return []
+    return [n for n in required if n not in attrs]
 
 
 @dataclass
@@ -200,7 +271,7 @@ def parse_dump(posts_path, votes_path, posthistory_path,
     questions: dict[int, _QuestionRecord] = {}
     answers: dict[int, _AnswerRecord] = {}
     for lineno, attrs in _iter_rows(posts_path, rejects, "posts"):
-        missing = _require(attrs, ("Id", "PostTypeId", "CreationDate"))
+        missing = _require(attrs, _POST_FIELDS)
         if missing:
             rejects.add(lineno, f"posts: missing {','.join(missing)}")
             continue
@@ -211,7 +282,7 @@ def parse_dump(posts_path, votes_path, posthistory_path,
                 accepted_answer_id=attrs.get("AcceptedAnswerId"),
                 closed="ClosedDate" in attrs)
         elif post_type == "2":
-            missing = _require(attrs, ("ParentId", "Body"))
+            missing = _require(attrs, _ANSWER_FIELDS)
             if missing:
                 rejects.add(lineno, f"posts: missing {','.join(missing)}")
                 continue
@@ -226,8 +297,7 @@ def parse_dump(posts_path, votes_path, posthistory_path,
         # other post types (wiki, tag excerpts, ...) are not ingested
 
     for lineno, attrs in _iter_rows(votes_path, rejects, "votes"):
-        missing = _require(attrs, ("Id", "PostId", "VoteTypeId",
-                                   "CreationDate"))
+        missing = _require(attrs, _VOTE_FIELDS)
         if missing:
             rejects.add(lineno, f"votes: missing {','.join(missing)}")
             continue
@@ -246,7 +316,7 @@ def parse_dump(posts_path, votes_path, posthistory_path,
     closed_by_history: set[int] = set()
     for lineno, attrs in _iter_rows(posthistory_path, rejects,
                                     "posthistory"):
-        missing = _require(attrs, ("Id", "PostHistoryTypeId", "PostId"))
+        missing = _require(attrs, _HISTORY_FIELDS)
         if missing:
             rejects.add(lineno, f"posthistory: missing "
                                 f"{','.join(missing)}")

@@ -1,5 +1,5 @@
-import xml.etree.ElementTree as ET
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +9,7 @@ from cva.ingest import (RejectLog, apply_filters, load_labels, parse_dump)
 from cva.trajectory import (read_trajectories, replay_community,
                             trajectory_to_json_line, write_trajectories)
 from conftest import GOLDEN_DIR
+from ingest_reference import reference_rows
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +120,14 @@ class TestParseDump:
         ("2020-01-02T03:04:05.1Z", 1577934245),
         ("2020-01-02T03:04:05.12345+01:00", 1577930645),
         ("2020-01-02T03:04:05.123", 1577934245),
+        # the float of seconds rounds up to the next second at year
+        # 9999, and int() truncates a half second before 1970 to 0
+        ("9999-12-31T23:59:59.999999", 253402300800),
+        ("1969-12-31T23:59:59.500", 0),
+        ("0001-01-01T00:00:00", -62135596800),
     ])
     def test_dates_read_as_from_python_311(self, text, seconds):
-        # Python 3.10's fromisoformat rejects all but the last of these,
+        # Python 3.10's fromisoformat rejects the first four of these,
         # which 3.11 and later read; on 3.11 and later this passes
         # without the fallback too, so it guards the 3.10 CI leg.
         assert ingest._parse_date(text) == seconds
@@ -136,40 +142,29 @@ class TestParseDump:
             datetime.fromisoformat(text)
         assert str(exc.value) == str(direct.value)
 
-
-def reference_rows(path, rejects, kind):
-    """The dump row reader built on `ET.fromstring` alone: what
-    `ingest._iter_rows` must yield and reject, line for line."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(exc.object[exc.start]) - 0xDC00
-                rejects.add(lineno, f"{kind}: not UTF-8: byte {byte:#04x} "
-                                    f"at column {exc.start + 1}")
-                continue
-            stripped = line.strip()
-            if "<row" not in stripped:
-                continue
-            try:
-                elem = ET.fromstring(stripped)
-            except ET.ParseError as exc:
-                rejects.add(lineno, f"{kind}: malformed XML row ({exc})")
-                continue
-            if elem.tag != "row":
-                rejects.add(lineno, f"{kind}: unexpected element "
-                                    f"<{elem.tag}>")
-                continue
-            attrs = elem.attrib
-            try:
-                for name, convert in ingest._CONVERTERS[kind].items():
-                    if name in attrs:
-                        attrs[name] = convert(attrs[name])
-            except ValueError as exc:
-                rejects.add(lineno, f"{kind}: bad value ({exc})")
-                continue
-            yield lineno, attrs
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(moment=st.datetimes(min_value=datetime(1, 1, 1),
+                               max_value=datetime(9999, 12, 31, 23, 59, 59,
+                                                  999999)),
+           timespec=st.sampled_from(["seconds", "milliseconds",
+                                     "microseconds"]),
+           offset=st.none() | st.just("Z")
+           | st.tuples(st.sampled_from("+-"), st.integers(0, 23),
+                       st.integers(0, 59)))
+    def test_date_seconds_as_an_aware_timestamp(self, moment, timespec,
+                                                offset):
+        naive = moment.isoformat(timespec=timespec)
+        if offset is None or offset == "Z":
+            tz = timezone.utc
+            text = naive + (offset or "")
+        else:
+            sign, hours, minutes = offset
+            tz = timezone((-1 if sign == "-" else 1)
+                          * timedelta(hours=hours, minutes=minutes))
+            text = f"{naive}{sign}{hours:02d}:{minutes:02d}"
+        # the naive text is spelled so that Python 3.10 reads it too
+        expected = datetime.fromisoformat(naive).replace(tzinfo=tz)
+        assert ingest._parse_date(text) == int(expected.timestamp())
 
 
 # Pieces of dump lines: well-formed rows, the XML that ElementTree reads
@@ -192,11 +187,12 @@ ROW_ATTRS = [' Id="7"', ' Id="x"', " Id='8'", ' PostId="3"', ' PostId=""',
              ' Body="\t\r"', ' Body="}"', ' Body="<"', ' Body=1',
              ' Body="\udcff"', ' Id="1" Id="2"', ' xmlns="urn:x"',
              ' xmlns:a="urn:a"', ' a:B="1"', ' xml:lang="en"', ' a:Id="4"',
-             " Body='\"'", ' ', '\t', ' =', ' ClosedDate="2020"']
+             " Body='\"'", ' ', '\t', ' =', ' ClosedDate="2020"',
+             ' Body="a > b"', ' Body="x']
 ROW_ENDS = ["/>", "/>", " />", ">", "></row>", "><![CDATA[x]]></row>",
             "><a:b xmlns:a='urn:a'/></row>", "><row/></row>", "/><row/>",
             "/><!-- c -->", "", "></rowx>", ">&foo;</row>", ">&amp;</row>",
-            "/>x"]
+            "/>x", "/> x/>", "/>>"]
 
 WELL_FORMED_ATTRS = [
     ' Id="7"', ' Id="x"', " Id='8'", ' Id="&#x31;&#50;"', ' PostId="3"',
@@ -205,7 +201,7 @@ WELL_FORMED_ATTRS = [
     ' CreationDate="2020-13-01"', ' Body="&amp;&lt;p&gt;"',
     ' Body="\u00e9\u4e2d"', ' Body="}"', ' Body="\t a\r"',
     ' xml:lang="en"', ' xmlns:a="urn:a"', ' a:B="1"', ' xmlns="urn:x"',
-    ' ClosedDate="2020"']
+    ' ClosedDate="2020"', ' Body="a > b"']
 
 row_line = st.builds(lambda start, attrs, end: start + "".join(attrs) + end,
                      st.sampled_from(ROW_STARTS),
@@ -224,25 +220,81 @@ dump_lines = st.lists(
     min_size=10, max_size=60)
 
 
+def write_lines(path, lines):
+    """Write `lines`, a lone surrogate as the undecodable byte it
+    stands for."""
+    with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
+def assert_reads_as_reference(path, kind) -> list[tuple[int, str]]:
+    """Check `_iter_rows` against `reference_rows`; the reject log."""
+    rejects, expected_rejects = RejectLog(), RejectLog()
+    got = list(ingest._iter_rows(path, rejects, kind))
+    expected = list(reference_rows(path, expected_rejects, kind))
+    assert got == expected
+    assert [type(v) for _, attrs in got for v in attrs.values()] == \
+        [type(v) for _, attrs in expected for v in attrs.values()]
+    assert rejects.entries == expected_rejects.entries
+    return rejects.entries
+
+
 class TestRowParser:
     """`_iter_rows` reads each row line the way ElementTree does."""
 
+    # Blocks of 1 and 3 lines put a malformed line at a block's first
+    # line, its last and its middle; 64 holds every generated file.
+    @pytest.mark.parametrize("block_lines", [1, 3, 64])
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(lines=dump_lines,
            kind=st.sampled_from(["posts", "votes", "posthistory"]))
     def test_same_rows_and_rejects_as_elementtree(self, tmp_path_factory,
-                                                  lines, kind):
+                                                  block_lines, lines, kind):
         path = tmp_path_factory.getbasetemp() / "rows.xml"
-        with open(path, "w", encoding="utf-8",
-                  errors="surrogateescape") as fh:
-            fh.write("".join(line + "\n" for line in lines))
-        rejects, expected_rejects = RejectLog(), RejectLog()
-        got = list(ingest._iter_rows(path, rejects, kind))
-        expected = list(reference_rows(path, expected_rejects, kind))
-        assert got == expected
-        assert [type(v) for _, attrs in got for v in attrs.values()] == \
-            [type(v) for _, attrs in expected for v in attrs.values()]
-        assert rejects.entries == expected_rejects.entries
+        write_lines(path, lines)
+        with mock.patch.object(ingest, "_BLOCK_LINES", block_lines):
+            assert_reads_as_reference(path, kind)
+
+    def test_malformed_rows_at_block_edges(self, tmp_path):
+        # each block opens and closes with a malformed row: expat fails
+        # on the whole block, and every line is read alone
+        size = ingest._BLOCK_LINES
+        good = '<row Id="{}" PostId="3" VoteTypeId="2" ' \
+               'CreationDate="2020-01-02T00:00:00.000" />'
+        bad = ['<row Id="1" Id="2" />', '<row Id="3" Body="x />',
+               '<row Id="&foo;" />', '<row Id="4" /> x/>',
+               '<row Id="5" A="\udcff" />', '<row Id="6" //>']
+        lines = [good.format(i) for i in range(3 * size + size // 2)]
+        lines[size // 2] = '<row Id="7" Body="a > b" />'
+        for k in range(3):
+            lines[k * size] = bad[2 * k]
+            lines[k * size + size - 1] = bad[2 * k + 1]
+        path = tmp_path / "Votes.xml"
+        write_lines(path, [*lines, "</votes>"])
+        rejects = assert_reads_as_reference(path, "votes")
+        assert [lineno for lineno, _ in rejects] == \
+            [k * size + end for k in range(3) for end in (1, size)]
+
+    def test_plain_rows_never_read_alone(self, tmp_path, monkeypatch):
+        # a dump of plain rows, non-ASCII text among them, is parsed a
+        # block at a time; no line falls back to the per-line parser
+        calls = []
+        parse_row = ingest._parse_row
+        monkeypatch.setattr(ingest, "_parse_row",
+                            lambda text: calls.append(text)
+                            or parse_row(text))
+        bodies = ["b &amp; c", "\u00e9\u4e2d", "x\u00e9"]
+        rows = [f'<row Id="{i}" PostTypeId="2" ParentId="1" '
+                f'CreationDate="2020-01-01T10:00:00.000" '
+                f'Body="{bodies[i % 3]}" />'
+                for i in range(2, 2 * ingest._BLOCK_LINES + 7)]
+        path = tmp_path / "Posts.xml"
+        write_lines(path, ['<?xml version="1.0" encoding="utf-8"?>',
+                           "<posts>", *rows, "</posts>"])
+        got = list(ingest._iter_rows(path, RejectLog(), "posts"))
+        assert calls == []
+        assert len(got) == len(rows)
+        assert_reads_as_reference(path, "posts")
 
     def test_yields_one_item_per_accepted_row(self, tmp_path):
         good = '<row Id="{}" PostId="3" VoteTypeId="2" ' \
