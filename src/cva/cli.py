@@ -17,6 +17,7 @@ import functools
 import logging
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .bias import NoEventsToScoreError, load_profile, map_coordinates, \
     profile_community, save_profile
@@ -52,15 +53,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EX_USAGE)
 
 
-def _curve_ranks(text: str) -> int:
-    """--ranks: the power-law fit needs at least 3 curve points."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 3:
-        raise argparse.ArgumentTypeError(f"must be >= 3, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An option type: an integer >= `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _write_csv(path, header, rows) -> None:
@@ -308,7 +311,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("counterfactual", help="rank/mood what-if curves")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--ranks", type=_curve_ranks, default=10,
+    # the power-law fit needs at least 3 curve points
+    p.add_argument("--ranks", type=_int_at_least(3), default=10,
                    help="curve length, at least 3")
     p.add_argument("--out", required=True)
     p.add_argument("--powerlaw-out", default=None)
@@ -319,8 +323,9 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--ablation", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--seed", type=int, default=7,
-                   help="seed of the paired bootstrap")
+    # numpy's generators take no negative seed
+    p.add_argument("--seed", type=_int_at_least(0), default=7,
+                   help="seed of the paired bootstrap, at least 0")
     p.add_argument("--rank-by-q", action="store_true",
                    help="rank by raw fitted quality instead of the "
                         "debiased estimate")

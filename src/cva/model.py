@@ -16,7 +16,7 @@ checks live in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -68,52 +68,60 @@ def vote_probs(q, lam, ratio, nu, rel_length, beta, rank) -> np.ndarray:
 
 
 class ParameterIndex:
-    """Canonical flat ordering of theta.
+    """The flat layout of theta for training rows of a community.
 
-    Layout: [q entries sorted by (question_id, answer_id)] + [lambda]
-    + [nu entries sorted by question_id] + [beta]. A frozen beta is held
-    at a constant and excluded from the vector.
+    Layout: [q of each answer slot the rows vote on, ascending] + [lambda]
+    + [nu of each question they vote in, by ascending question index;
+    none without `use_length`] + [beta]. A frozen beta is held at a
+    constant and excluded from the vector.
     """
 
-    def __init__(self, q_keys: Sequence[tuple[str, str]],
-                 nu_keys: Sequence[str],
+    def __init__(self, community: Community, rows: np.ndarray,
+                 use_length: bool = True,
                  freeze_beta: Optional[float] = None):
-        self.q_keys = sorted(set(q_keys))
-        self.nu_keys = sorted(set(nu_keys))
+        self.community = community
+        self.answer_slots = np.unique(community.answer_slot[rows])
+        self.questions = np.unique(community.question[rows]) if use_length \
+            else np.zeros(0, dtype=np.int64)
         self.freeze_beta = freeze_beta
-        self._q_pos = {k: i for i, k in enumerate(self.q_keys)}
-        self._nu_pos = {k: i for i, k in enumerate(self.nu_keys)}
-        self.lam_pos = len(self.q_keys)
+        self.lam_pos = len(self.answer_slots)
         self.nu_base = self.lam_pos + 1
         self.beta_pos = None if freeze_beta is not None \
-            else self.nu_base + len(self.nu_keys)
-        self.size = self.nu_base + len(self.nu_keys) \
+            else self.nu_base + len(self.questions)
+        self.size = self.nu_base + len(self.questions) \
             + (0 if freeze_beta is not None else 1)
 
-    def q_slot(self, key: tuple[str, str]) -> int:
-        return self._q_pos[key]
-
-    def nu_slot(self, question_id: str) -> int:
-        return self._nu_pos[question_id]
+    def nu_positions(self, questions: np.ndarray) -> np.ndarray:
+        """Each of `questions`' position among the nu entries, -1 without
+        length coefficients."""
+        if not len(self.questions):
+            return np.full(len(questions), -1)
+        return np.searchsorted(self.questions, questions)
 
     def pack(self, model: CommunityModel) -> np.ndarray:
+        c = self.community
+        _, q, _ = model.by_slot(c)
         theta = np.zeros(self.size)
-        for (qid, aid), i in self._q_pos.items():
-            theta[i] = model.q.get(qid, {}).get(aid, 0.0)
+        theta[:self.lam_pos] = q[self.answer_slots]
         theta[self.lam_pos] = model.lam
-        for qid, i in self._nu_pos.items():
-            theta[self.nu_base + i] = model.nu.get(qid, 0.0)
+        theta[self.nu_base:self.nu_base + len(self.questions)] = [
+            model.nu.get(c.question_ids[i], 0.0)
+            for i in self.questions.tolist()]
         if self.beta_pos is not None:
             theta[self.beta_pos] = model.beta
         return theta
 
     def unpack(self, theta: np.ndarray, l2_weight: float,
                fit_meta: Optional[dict] = None) -> CommunityModel:
+        c = self.community
         q: dict[str, dict[str, float]] = {}
-        for (qid, aid), i in self._q_pos.items():
-            q.setdefault(qid, {})[aid] = float(theta[i])
-        nu = {qid: float(theta[self.nu_base + i])
-              for qid, i in self._nu_pos.items()}
+        for slot, value in zip(self.answer_slots.tolist(),
+                               theta[:self.lam_pos].tolist()):
+            qid, aid = c.answer_keys[slot]
+            q.setdefault(qid, {})[aid] = value
+        nu_values = theta[self.nu_base:self.nu_base + len(self.questions)]
+        nu = {c.question_ids[i]: value for i, value in
+              zip(self.questions.tolist(), nu_values.tolist())}
         beta = self.freeze_beta if self.beta_pos is None \
             else float(theta[self.beta_pos])
         return CommunityModel(q=q, lam=float(theta[self.lam_pos]), nu=nu,
@@ -121,53 +129,25 @@ class ParameterIndex:
                               fit_meta=dict(fit_meta or {}))
 
 
-class EventColumns:
-    """Training events: rows of a Community, each a vote whose sign is
-    the observation and whose context is the covariates.
-
-    `answer_slots` holds each row's answer slot; `q_keys` and
-    `question_ids` list the distinct answers and questions the rows vote
-    on.
-    """
-
-    def __init__(self, community: Community, rows: np.ndarray):
-        self.community = community
-        self.rows = rows
-        self.answer_slots = community.answer_slot[rows]
-        self.q_keys = [community.answer_keys[s]
-                       for s in np.unique(self.answer_slots).tolist()]
-        self.question_ids = [community.question_ids[i] for i in
-                             np.unique(community.question[rows]).tolist()]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 class EncodedEvents:
-    """Training events gathered into numpy arrays for one ParameterIndex:
+    """Training rows of the index's community gathered into numpy arrays:
     v (1.0 for a positive vote, 0.0 for a negative one), ratio, length,
     inv_rank = 1/(1 + rank), q_slot and nu_slot (-1 without a length
-    term)."""
+    term), each row's positions in theta's layout. The rows vote only on
+    answers the index lays out."""
 
-    def __init__(self, index: ParameterIndex, events: EventColumns):
+    def __init__(self, index: ParameterIndex, rows: np.ndarray):
         self.index = index
-        c, rows = events.community, events.rows
+        c = index.community
         self.v = (c.sign[rows] > 0).astype(float)
         self.ratio = c.pos_ratio[rows]
         self.length = c.rel_length[rows]
         self.inv_rank = 1.0 / (1.0 + c.rank[rows])
-        slot_q = np.zeros(c.n_answers, dtype=int)
-        used = np.unique(events.answer_slots)
-        slot_q[used] = [index.q_slot(c.answer_keys[s]) for s in used.tolist()]
-        self.q_slot = slot_q[events.answer_slots]
-        question_nu = np.asarray(
-            [index.nu_slot(qid) if qid in index._nu_pos else -1
-             for qid in c.question_ids], dtype=int)
-        self.nu_slot = question_nu[c.question[rows]]
-        # each q slot's nu slot (-1 without one); q slots without events
-        # couple to nothing
-        self.answer_nu = np.full(len(index.q_keys), -1)
-        self.answer_nu[self.q_slot] = self.nu_slot
+        self.q_slot = np.searchsorted(index.answer_slots, c.answer_slot[rows])
+        self.nu_slot = index.nu_positions(c.question[rows])
+        # each q slot's nu slot (-1 without one)
+        self.answer_nu = index.nu_positions(
+            c.answer_question[index.answer_slots])
         # the free globals: (theta position, covariate column)
         self.border = [(index.lam_pos, self.ratio)]
         if index.beta_pos is not None:
@@ -213,14 +193,14 @@ def objective_and_grad(theta: np.ndarray, data: EncodedEvents,
 
     r = p - data.v
     grad = w * theta.copy()
-    n_q = len(idx.q_keys)
+    n_q = len(idx.answer_slots)
     grad[:n_q] += np.bincount(data.q_slot, weights=r, minlength=n_q)
     grad[idx.lam_pos] += float(np.sum(r * data.ratio))
-    if idx.nu_keys:
+    if len(idx.questions):
         mask = data.nu_slot >= 0
-        grad[idx.nu_base:idx.nu_base + len(idx.nu_keys)] += np.bincount(
+        grad[idx.nu_base:idx.nu_base + len(idx.questions)] += np.bincount(
             data.nu_slot[mask], weights=(r * data.length)[mask],
-            minlength=len(idx.nu_keys))
+            minlength=len(idx.questions))
     if idx.beta_pos is not None:
         grad[idx.beta_pos] += float(np.sum(r * data.inv_rank))
     return nll + reg, grad
@@ -250,7 +230,7 @@ class BlockHessian:
         idx = data.index
         w = l2_weight
         self.data = data
-        n_q, n_nu = len(idx.q_keys), len(idx.nu_keys)
+        n_q, n_nu = len(idx.answer_slots), len(idx.questions)
         p = _sigmoid(_predictor(theta, data))
         h = p * (1.0 - p)
         mask = data.nu_slot >= 0
@@ -367,14 +347,14 @@ def curvature_bound_product(v: np.ndarray, data: EncodedEvents,
         s = s + v[idx.beta_pos] * data.inv_rank
     u = 0.25 * s
     out = l2_weight * v.copy()
-    n_q = len(idx.q_keys)
+    n_q = len(idx.answer_slots)
     out[:n_q] += np.bincount(data.q_slot, weights=u, minlength=n_q)
     out[idx.lam_pos] += float(np.sum(u * data.ratio))
-    if idx.nu_keys:
+    if len(idx.questions):
         mask = data.nu_slot >= 0
-        out[idx.nu_base:idx.nu_base + len(idx.nu_keys)] += np.bincount(
+        out[idx.nu_base:idx.nu_base + len(idx.questions)] += np.bincount(
             data.nu_slot[mask], weights=(u * data.length)[mask],
-            minlength=len(idx.nu_keys))
+            minlength=len(idx.questions))
     if idx.beta_pos is not None:
         out[idx.beta_pos] += float(np.sum(u * data.inv_rank))
     return out

@@ -60,6 +60,8 @@ class SimConfig:
             raise ValueError("n_questions must be >= 1")
         if self.n_events < self.n_questions:
             raise ValueError("n_events must be >= n_questions")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("quality_mean", "true_lambda", "true_beta", "true_nu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

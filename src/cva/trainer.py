@@ -21,7 +21,7 @@ import numpy as np
 
 from .configio import InputError, finite_float, parse_typed
 from .model import (BlockHessian, CommunityModel, EncodedEvents,
-                    EventColumns, ParameterIndex, curvature_bound_product,
+                    ParameterIndex, curvature_bound_product,
                     objective_and_grad)
 from .simulate import toy_scenario
 from .trajectory import Community, replay_community
@@ -97,21 +97,16 @@ def _polish(fun, data: EncodedEvents, x: np.ndarray, config: FitConfig,
     return x, total_iters
 
 
-def _select_events(community: Community, drop_first: bool,
-                   tick: Optional[int] = None) -> EventColumns:
-    """The community's votes up to time index `tick` (all without one),
-    each answer's first vote dropped if `drop_first`, in row order."""
+def training_events(community: Community, drop_first: bool = True,
+                    tick: Optional[int] = None) -> np.ndarray:
+    """The rows of the community's votes to train on, in row order: those
+    up to time index `tick` (all without one), each answer's first vote
+    dropped if `drop_first`."""
     keep = np.ones(len(community.sign), dtype=bool) if tick is None \
         else community.time_index <= tick
     if drop_first:
         keep &= ~community.first_vote
-    return EventColumns(community, np.flatnonzero(keep))
-
-
-def training_events(community: Community,
-                    drop_first: bool = True) -> EventColumns:
-    """The community's votes to train on, in row order."""
-    return _select_events(community, drop_first)
+    return np.flatnonzero(keep)
 
 
 # Armijo's sufficient-decrease share and the step halvings tried before
@@ -196,16 +191,15 @@ def minimize(data: EncodedEvents, config: FitConfig,
     return x, f, g, iters
 
 
-def fit_events(events: EventColumns, config: FitConfig,
+def fit_events(community: Community, rows: np.ndarray, config: FitConfig,
                callback: Optional[Callable[[int, float], None]] = None
                ) -> CommunityModel:
-    """Fit a CommunityModel to pre-extracted training events."""
-    if not events:
+    """Fit a CommunityModel to the community's training rows `rows`."""
+    if not len(rows):
         raise NoTrainingEventsError("zero training events")
-    nu_keys = events.question_ids if config.use_length else []
-    index = ParameterIndex(events.q_keys, nu_keys,
-                           freeze_beta=config.freeze_beta)
-    data = EncodedEvents(index, events)
+    index = ParameterIndex(community, rows, config.use_length,
+                           config.freeze_beta)
+    data = EncodedEvents(index, rows)
     x, objective, grad, iters = minimize(
         data, config, callback or (lambda iteration, objective: None))
     final_grad_norm = _max_norm(grad)
@@ -217,7 +211,7 @@ def fit_events(events: EventColumns, config: FitConfig,
     meta = {"iterations": int(iters),
             "final_grad_norm": final_grad_norm,
             "objective": float(objective), "converged": converged,
-            "n_events": len(events)}
+            "n_events": len(rows)}
     return index.unpack(x, config.l2_weight, fit_meta=meta)
 
 
@@ -225,8 +219,8 @@ def fit(community: Community, config: FitConfig,
         callback: Optional[Callable[[int, float], None]] = None
         ) -> CommunityModel:
     """Fit a community, dropping first votes per the config."""
-    events = training_events(community, drop_first=config.drop_first_votes)
-    return fit_events(events, config, callback=callback)
+    rows = training_events(community, config.drop_first_votes)
+    return fit_events(community, rows, config, callback=callback)
 
 
 def fit_prefixes(community: Community, config: FitConfig,
@@ -243,12 +237,12 @@ def fit_prefixes(community: Community, config: FitConfig,
     for tick in prefix_ticks:
         # time indices ascend within a question, so an answer's first
         # vote in the prefix is its first vote overall
-        events = _select_events(community, config.drop_first_votes, tick)
-        if not events:
+        rows = training_events(community, config.drop_first_votes, tick)
+        if not len(rows):
             log.warning("prefix tick %d has no training events; skipped",
                         tick)
             continue
-        out.append((tick, fit_events(events, config)))
+        out.append((tick, fit_events(community, rows, config)))
     return out
 
 

@@ -183,19 +183,25 @@ class _Records:
         # answer_index, sign and timestamp
         self.votes = (array("q"), array("q"), array("q"))
 
-    def _add(self, question_id: str, answers: tuple[Answer, ...], fill,
+    def _add(self, question_id: str, answers: tuple[Answer, ...], columns,
              triples) -> None:
-        """Append one question whose id and answers are checked. `fill()`
-        appends its votes to the columns and tells whether it vouches for
-        their types; unless so, the votes' `triples()` are checked."""
+        """Append one question whose id and answers are checked.
+        `columns()` gives its votes' answer indices, signs and timestamps,
+        three lists of equal length. At a fault in them, or a value
+        that is not an int, no vote is appended and `_check_votes` raises
+        on `triples()`, the votes in reading order."""
         start = len(self.votes[0])
         try:
-            if not fill():
-                _check_votes(question_id, triples())
+            values = columns()
+            if not set(map(type, chain.from_iterable(values))) <= {int}:
+                raise TypeError("a vote value that is not an int")
+            for column, part in zip(self.votes, values):
+                column.fromlist(part)  # refuses an int beyond int64
         except (KeyError, TypeError, ValueError, OverflowError):
             for column in self.votes:
                 del column[start:]
-            # the fill reads column by column: the first in reading order
+            # the columns are read one after another: name the first
+            # fault in reading order
             _check_votes(question_id, triples())
             raise
         self.question_ids.append(question_id)
@@ -208,37 +214,28 @@ class _Records:
                 f"duplicate question_id {question_id!r}"
                 + self.first_at(first))
 
-    def add_json(self, obj: dict, text: Optional[str] = None) -> None:
-        """Append the question of one JSONL line, parsed from `text`."""
+    def add_json(self, obj: dict) -> None:
+        """Append the question of one parsed JSONL line."""
         question_id = obj["question_id"]
         answers = _checked_answers(question_id, (
             Answer(a["answer_id"], a["creation_time"], a["text_length"],
                    a["accepted"], a.get("acceptance_time"))
             for a in obj["answers"]))
         events = obj["events"]
-
-        def fill() -> bool:
-            for column, get in zip(self.votes, _JSON_GETTERS):
-                column.fromlist(list(map(get, events)))
-            # `array` takes a bool as 0 or 1. Each comes from a `true` or
-            # `false` in the text, and every answer's `accepted` holds one.
-            return text is not None and \
-                text.count("true") + text.count("false") <= len(answers)
-        self._add(question_id, answers, fill,
+        self._add(question_id, answers,
+                  lambda: [list(map(get, events)) for get in _JSON_GETTERS],
                   lambda: map(_JSON_TRIPLE, events))
 
     def add_record(self, traj: QuestionTrajectory) -> None:
         events = traj.events
 
-        def fill() -> bool:
-            values = list(chain.from_iterable(events))
-            flat = array("q", values)  # refuses floats, strings, overflow
-            for i, column in enumerate(self.votes):
-                column.extend(flat[i::3])
-            return len(values) == 3 * len(events) \
-                and set(map(type, values)) <= {int}
+        def columns():
+            values = [list(v) for v in zip(*events, strict=True)]
+            if events and len(values) != 3:
+                raise ValueError("a vote that is not a triple")
+            return values
         self._add(traj.question_id,
-                  _checked_answers(traj.question_id, traj.answers), fill,
+                  _checked_answers(traj.question_id, traj.answers), columns,
                   lambda: events)
 
     def community(self, where=lambda i: "") -> Community:
@@ -617,7 +614,7 @@ def read_trajectories(path) -> Community:
                     continue
                 lines.append(lineno)
                 try:
-                    records.add_json(json.loads(line), line)
+                    records.add_json(json.loads(line))
                     continue
                 except (ValueError, TypeError, KeyError) as exc:
                     reason = _reason(exc)

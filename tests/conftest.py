@@ -8,8 +8,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from cva.model import (CommunityModel, EncodedEvents, EventColumns,
-                       ParameterIndex, objective_and_grad, vote_probs)
+from cva.model import (CommunityModel, EncodedEvents, ParameterIndex,
+                       objective_and_grad, vote_probs)
 from cva.trajectory import (NEUTRAL_POS_RATIO, REL_LENGTH_CLIP, Answer,
                             Community, QuestionTrajectory, _Records)
 
@@ -86,21 +86,20 @@ def community_of(questions) -> Community:
                      np.array(n_events, dtype=np.int64), **columns)
 
 
-def event_columns(events) -> EventColumns:
-    """`events`, ((question_id, answer_id), v, Context) with v = 1 for a
-    positive vote, as the training events of a community built with
-    those contexts; grouped by question, in order within one."""
+def event_community(events) -> Community:
+    """A community whose votes are `events`, ((question_id, answer_id), v,
+    Context) with v = 1 for a positive vote, cast in those contexts;
+    grouped by question, in order within one."""
     questions: dict[str, tuple[list, list]] = {}
     for (question_id, answer_id), v, ctx in events:
         answer_ids, votes = questions.setdefault(question_id, ([], []))
         if answer_id not in answer_ids:
             answer_ids.append(answer_id)
         votes.append((answer_ids.index(answer_id), 1 if v else -1, ctx))
-    community = community_of(
+    return community_of(
         (question_id, tuple(Answer(aid, k, 100)
                             for k, aid in enumerate(answer_ids)), votes)
         for question_id, (answer_ids, votes) in questions.items())
-    return EventColumns(community, np.arange(len(community.sign)))
 
 
 def random_trajectory(rng: np.random.Generator, question_id="q",
@@ -208,13 +207,21 @@ def trajectory_from_json(obj: dict) -> Community:
     return records.community()
 
 
-def nll_and_grad(model: CommunityModel, events: EventColumns):
-    """Objective and gradient at the model's own parameters, aligned with
-    the ParameterIndex of its q and nu maps."""
-    index = ParameterIndex(
-        q_keys=[(qid, aid) for qid, by_a in model.q.items() for aid in by_a],
-        nu_keys=list(model.nu.keys()))
-    data = EncodedEvents(index, events)
+def encode(community: Community, rows=None, use_length=True,
+           freeze_beta=None) -> tuple[ParameterIndex, EncodedEvents]:
+    """The parameter index and encoded events of the community's rows
+    `rows` (all without them)."""
+    if rows is None:
+        rows = np.arange(len(community.sign))
+    index = ParameterIndex(community, rows, use_length, freeze_beta)
+    return index, EncodedEvents(index, rows)
+
+
+def nll_and_grad(model: CommunityModel, community: Community, rows=None):
+    """Objective and gradient at the model's own parameters, laid out
+    over the community's rows `rows` (all without them), with length
+    coefficients if the model has any."""
+    index, data = encode(community, rows, use_length=bool(model.nu))
     return objective_and_grad(index.pack(model), data, model.l2_weight)
 
 

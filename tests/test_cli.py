@@ -319,6 +319,25 @@ class TestEvaluate:
         assert set(report["p_values"]) == {"tau", "residual"}
         assert report["n_questions"] > 0
 
+    @pytest.mark.parametrize("seed, reason", [
+        ("-1", "must be >= 0, got -1"), ("x", "not an integer: 'x'")])
+    def test_bad_seed_is_usage_error(self, workspace, tmp_path, capsys,
+                                     seed, reason):
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", "--input", str(workspace / "T.jsonl"),
+                "--model", str(workspace / "model.json"),
+                "--ablation", str(workspace / "ablation.json"),
+                "--labels", str(workspace / "truth.csv"),
+                "--seed", seed, "--out", str(tmp_path / "report.json"))
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        # argparse's usage block, then the one error line
+        assert [line for line in err.splitlines()
+                if not line.startswith(("usage:", " "))] == \
+            [f"cva evaluate: error: argument --seed: {reason}"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestExitCodes:
     def test_parser_built_once(self, tmp_path):
@@ -532,6 +551,8 @@ class TestInputErrors:
         (SIM_CFG + "true_nu = -inf\n", "true_nu must be finite\n"),
         (SIM_CFG + "crp_alpha = inf\n", "crp_alpha must be finite and > 0\n"),
         (SIM_CFG + "crp_alpha = nan\n", "crp_alpha must be finite and > 0\n"),
+        ("n_questions = 5\nn_events = 50\nseed = -1\n",
+         "seed must be >= 0\n"),
     ])
     def test_bad_sim_config(self, tmp_path, capsys, text, reason):
         cfg = tmp_path / "sim.cfg"

@@ -43,44 +43,48 @@ def community(tmp_path_factory):
     return read_trajectories(path), trajs, model
 
 
-def walk_events(trajs, drop_first=True):
-    """((qid, aid), v, context) of the votes, walking each record's votes
-    with their reference contexts; v is 1 for a positive vote."""
-    events = []
-    for traj in trajs:
+def walk_votes(trajs, drop_first=True):
+    """(question number, answer index, v, context) of the votes, walking
+    each record's votes with their reference contexts; v is 1 for a
+    positive vote."""
+    votes = []
+    for i, traj in enumerate(trajs):
         seen = set()
         for (j, sign, _), ctx in zip(traj.events, reference_contexts(traj)):
             first = j not in seen
             seen.add(j)
             if drop_first and first:
                 continue
-            aid = traj.answers[j].answer_id
-            events.append(((traj.question_id, aid), 1 if sign > 0 else 0,
-                           ctx))
-    return events
+            votes.append((i, j, 1 if sign > 0 else 0, ctx))
+    return votes
 
 
-def index_of(events, use_length=True, freeze_beta=None):
-    return ParameterIndex([ids for ids, _, _ in events],
-                          [qid for (qid, _), _, _ in events]
-                          if use_length else [], freeze_beta=freeze_beta)
+def walk_events(trajs, drop_first=True):
+    """((qid, aid), v, context) of the votes walked by `walk_votes`."""
+    records = list(trajs)
+    return [((records[i].question_id, records[i].answers[j].answer_id), v,
+             ctx) for i, j, v, ctx in walk_votes(records, drop_first)]
 
 
-def encode_walk(index, events) -> dict:
-    """The arrays EncodedEvents gathers, built event by event."""
-    return {
-        "v": np.asarray([v for _, v, _ in events], dtype=float),
-        "ratio": np.asarray([c.pos_ratio for _, _, c in events],
+def encode_walk(votes, use_length=True) -> tuple[list, list, dict]:
+    """The layout of theta and the arrays EncodedEvents gathers, built
+    vote by vote: the (question number, answer index) pairs voted on in
+    ascending order, the question numbers voted in (none without
+    `use_length`), and the arrays."""
+    answers = sorted({(i, j) for i, j, _, _ in votes})
+    questions = sorted({i for i, _, _, _ in votes}) if use_length else []
+    return answers, questions, {
+        "v": np.asarray([v for _, _, v, _ in votes], dtype=float),
+        "ratio": np.asarray([c.pos_ratio for _, _, _, c in votes],
                             dtype=float),
-        "length": np.asarray([c.rel_length for _, _, c in events],
+        "length": np.asarray([c.rel_length for _, _, _, c in votes],
                              dtype=float),
-        "inv_rank": np.asarray([1.0 / (1.0 + c.rank) for _, _, c in events],
-                               dtype=float),
-        "q_slot": np.asarray([index.q_slot(key) for key, _, _ in events],
-                             dtype=int),
-        "nu_slot": np.asarray([index.nu_slot(qid) if qid in index._nu_pos
-                               else -1 for (qid, _), _, _ in events],
-                              dtype=int)}
+        "inv_rank": np.asarray([1.0 / (1.0 + c.rank)
+                                for _, _, _, c in votes], dtype=float),
+        "q_slot": np.asarray([answers.index((i, j))
+                              for i, j, _, _ in votes], dtype=int),
+        "nu_slot": np.asarray([questions.index(i) if use_length else -1
+                               for i, _, _, _ in votes], dtype=int)}
 
 
 class TestFitInputs:
@@ -90,25 +94,28 @@ class TestFitInputs:
     def test_encoded_arrays_byte_identical(self, community, drop_first,
                                            use_length, freeze_beta):
         c, trajs, _ = community
-        want_events = walk_events(trajs, drop_first)
-        index = index_of(want_events, use_length, freeze_beta)
-        got_events = training_events(c, drop_first=drop_first)
-        assert len(got_events) == len(want_events)
-        assert got_events.q_keys == index.q_keys
-        assert sorted(got_events.question_ids) == index_of(
-            want_events).nu_keys
-        got = EncodedEvents(index, got_events)
-        for name, want in encode_walk(index, want_events).items():
+        answers, questions, want = encode_walk(walk_votes(trajs, drop_first),
+                                               use_length)
+        rows = training_events(c, drop_first=drop_first)
+        assert len(rows) == len(want["v"])
+        index = ParameterIndex(c, rows, use_length, freeze_beta)
+        records = list(trajs)
+        assert [c.answer_keys[s] for s in index.answer_slots.tolist()] == \
+            [(records[i].question_id, records[i].answers[j].answer_id)
+             for i, j in answers]
+        assert index.questions.tolist() == questions
+        got = EncodedEvents(index, rows)
+        for name, values in want.items():
             a = getattr(got, name)
-            assert a.dtype == want.dtype, name
-            assert a.tobytes() == want.tobytes(), name
+            assert a.dtype == values.dtype, name
+            assert a.tobytes() == values.tobytes(), name
 
     def test_rows_are_the_walked_events(self, community):
         c, trajs, _ = community
-        got = training_events(c)
         ctx = contexts(c)
         assert [(c.answer_keys[c.answer_slot[r]], int(c.sign[r] > 0),
-                 ctx[r]) for r in got.rows.tolist()] == walk_events(trajs)
+                 ctx[r]) for r in training_events(c).tolist()] == \
+            walk_events(trajs)
 
     def test_prefix_fits_match(self, community):
         c, trajs, _ = community

@@ -10,13 +10,13 @@ import pytest
 
 import cva
 from cva.model import (PROB_CLIP, BlockHessian, CommunityModel,
-                       EncodedEvents, ParameterIndex, model_from_json,
+                       EncodedEvents, model_from_json,
                        model_to_json, objective_and_grad, load_model,
                        save_model, vote_probs)
 from cva.trajectory import (Answer, MalformedTrajectoryError,
                             QuestionTrajectory, replay_community)
-from conftest import (Context, event_columns, event_prob, nll_and_grad,
-                      vote_prob)
+from conftest import (Context, encode, event_community, event_prob,
+                      nll_and_grad, vote_prob)
 
 
 def ctx(rank=1, ratio=0.5, length=0.0, pos=0, neg=0):
@@ -27,15 +27,15 @@ def ctx(rank=1, ratio=0.5, length=0.0, pos=0, neg=0):
 def random_instance(rng, n_questions=3, n_answers=8, n_events=20,
                     l2_weight=1.0, freeze_beta=None, use_length=True):
     """Random events plus a matching index and parameter vector."""
-    keys, events = random_events(rng, n_questions, n_answers, n_events)
-    index = ParameterIndex(keys, [q for q, _ in keys] if use_length else [],
-                           freeze_beta=freeze_beta)
+    _, community = random_events(rng, n_questions, n_answers, n_events)
+    index, data = encode(community, use_length=use_length,
+                         freeze_beta=freeze_beta)
     theta = rng.normal(0, 1, size=index.size)
-    return index, EncodedEvents(index, events), theta
+    return index, data, theta
 
 
 def random_events(rng, n_questions, n_answers, n_events):
-    """Answer keys and random training events on them."""
+    """Answer keys and a community of random votes on them."""
     keys = []
     for a in range(n_answers):
         qid = f"q{a % n_questions}"
@@ -46,7 +46,7 @@ def random_events(rng, n_questions, n_answers, n_events):
         c = ctx(rank=int(rng.integers(1, 7)), ratio=float(rng.random()),
                 length=float(rng.uniform(-3, 3)))
         events.append(((qid, aid), int(rng.integers(0, 2)), c))
-    return keys, event_columns(events)
+    return keys, event_community(events)
 
 
 def fd_gradient(theta, data, w, h=1e-6):
@@ -113,16 +113,16 @@ class TestObjective:
     def test_single_event_hand_value(self):
         m = CommunityModel(q={"q1": {"a1": 0.0}}, nu={"q1": 0.0},
                            l2_weight=0.0)
-        events = event_columns([(("q1", "a1"), 1, ctx(rank=1, ratio=0.5))])
+        events = event_community([(("q1", "a1"), 1,
+                                   ctx(rank=1, ratio=0.5))])
         obj, grad = nll_and_grad(m, events)
         assert obj == pytest.approx(math.log(2), abs=1e-12)
-        index = ParameterIndex([("q1", "a1")], ["q1"])
-        assert grad[index.q_slot(("q1", "a1"))] == pytest.approx(-0.5)
+        assert grad[0] == pytest.approx(-0.5)  # the one answer's q
 
     def test_zero_theta_regularizer_contributes_nothing(self):
         m = CommunityModel(q={"q1": {"a1": 0.0}}, nu={"q1": 0.0},
                            l2_weight=1.0)
-        events = event_columns([(("q1", "a1"), 1, ctx())])
+        events = event_community([(("q1", "a1"), 1, ctx())])
         obj_w1, grad_w1 = nll_and_grad(m, events)
         m0 = CommunityModel(q={"q1": {"a1": 0.0}}, nu={"q1": 0.0},
                             l2_weight=0.0)
@@ -132,7 +132,7 @@ class TestObjective:
 
     def test_empty_events_only_regularizer(self, rng):
         index, _, theta = random_instance(rng, n_events=1)
-        data = EncodedEvents(index, event_columns([]))
+        data = EncodedEvents(index, np.zeros(0, dtype=int))
         obj, grad = objective_and_grad(theta, data, 2.0)
         assert obj == pytest.approx(float(theta @ theta))
         assert np.allclose(grad, 2.0 * theta)
@@ -143,22 +143,21 @@ class TestObjective:
         with pytest.raises(MalformedTrajectoryError, match="sign 2"):
             replay_community([QuestionTrajectory("q1", answers,
                                                  ((0, 2, 10),))])
-        index = ParameterIndex([("q1", "a1")], ["q1"])
-        events = event_columns([(("q1", "a1"), 1, ctx()),
-                                (("q1", "a1"), 0, ctx())])
-        assert EncodedEvents(index, events).v.tolist() == [1.0, 0.0]
+        _, data = encode(event_community([(("q1", "a1"), 1, ctx()),
+                                          (("q1", "a1"), 0, ctx())]))
+        assert data.v.tolist() == [1.0, 0.0]
 
     @pytest.mark.filterwarnings("error")
     def test_extreme_logits_finite(self):
         # each answer gets one negative and one positive vote
         keys = [("q", "lo"), ("q", "hi")]
-        events = event_columns([(key, v, ctx()) for key in keys
-                                for v in (0, 1)])
-        index = ParameterIndex(keys, ["q"])
-        data = EncodedEvents(index, events)
+        community = event_community([(key, v, ctx()) for key in keys
+                                     for v in (0, 1)])
+        index, data = encode(community)
+        assert [community.answer_keys[s]
+                for s in index.answer_slots.tolist()] == keys
         theta = np.zeros(index.size)
-        theta[index.q_slot(("q", "lo"))] = -1000.0
-        theta[index.q_slot(("q", "hi"))] = 800.0
+        theta[:2] = -1000.0, 800.0
         obj, grad = objective_and_grad(theta, data, 1.0)
         assert np.all(np.isfinite(grad))
         # the vote against each sign costs -log(PROB_CLIP)
@@ -187,22 +186,47 @@ class TestObjective:
             f = lambda t: objective_and_grad(t, data, 1.0)[0]
             assert f(mid) <= 0.5 * f(theta_a) + 0.5 * f(theta_b) + 1e-10
 
-    def test_gradient_alignment_layout(self):
-        # layout: q entries sorted, then lambda, then nu sorted, then beta
-        index = ParameterIndex([("q2", "a1"), ("q1", "a9"), ("q1", "a2")],
-                               ["q2", "q1"])
-        assert index.q_keys == [("q1", "a2"), ("q1", "a9"), ("q2", "a1")]
-        assert index.lam_pos == 3
-        assert index.nu_keys == ["q1", "q2"]
-        assert index.beta_pos == 6
-        assert index.size == 7
+    def test_slot_layout(self):
+        # layout: q by ascending answer slot, then lambda, then nu by
+        # ascending question index, then beta; an answer or question
+        # without a training row has no entry, and ids play no part
+        community = event_community([
+            (("q2", "a1"), 1, ctx()), (("q2", "b"), 0, ctx()),
+            (("q1", "a9"), 0, ctx()), (("q1", "a2"), 1, ctx()),
+            (("q0", "z"), 1, ctx())])
+        rows = np.array([3, 0, 2])  # not q2/b (slot 1) nor q0/z (slot 4)
+        index, data = encode(community, rows)
+        assert index.answer_slots.tolist() == [0, 2, 3]
+        assert [community.answer_keys[s] for s in
+                index.answer_slots.tolist()] == [("q2", "a1"), ("q1", "a9"),
+                                                 ("q1", "a2")]
+        assert index.questions.tolist() == [0, 1]
+        assert (index.lam_pos, index.nu_base, index.beta_pos,
+                index.size) == (3, 4, 6, 7)
+        assert data.q_slot.tolist() == [2, 0, 1]
+        assert data.nu_slot.tolist() == [1, 0, 1]
+        assert data.answer_nu.tolist() == [0, 1, 1]
+        model = index.unpack(np.arange(7.0), 1.0)
+        assert model.q == {"q2": {"a1": 0.0}, "q1": {"a9": 1.0, "a2": 2.0}}
+        assert (model.lam, model.nu, model.beta) == \
+            (3.0, {"q2": 4.0, "q1": 5.0}, 6.0)
+        assert index.pack(model).tolist() == np.arange(7.0).tolist()
+
+        index, data = encode(community, rows, use_length=False)
+        assert index.questions.tolist() == []
+        assert (index.lam_pos, index.beta_pos, index.size) == (3, 4, 5)
+        assert data.nu_slot.tolist() == data.answer_nu.tolist() == \
+            [-1, -1, -1]
 
     def test_frozen_beta_excluded_from_vector(self):
-        index = ParameterIndex([("q1", "a1")], ["q1"], freeze_beta=0.0)
+        index, _ = encode(event_community([(("q1", "a1"), 1, ctx())]),
+                          freeze_beta=0.0)
         assert index.beta_pos is None
         assert index.size == 3
         model = index.unpack(np.array([0.5, 0.1, -0.2]), 1.0)
         assert model.beta == 0.0
+        assert (model.q, model.lam, model.nu) == \
+            ({"q1": {"a1": 0.5}}, 0.1, {"q1": -0.2})
 
     def test_bit_identical_across_blas_thread_counts(self):
         # OpenBLAS splits dot products longer than 10,000 across threads,
@@ -218,9 +242,10 @@ class TestObjective:
             "n_answers=900, n_events=12_000)\n"
             "obj, grad = objective_and_grad(theta, data, 1.0)\n"
             "hv = curvature_bound_product(theta, data, 1.0)\n"
-            "_, events = random_events(np.random.default_rng(3), 300, 900, "
-            "12_000)\n"
-            "model = fit_events(events, FitConfig())\n"
+            "_, community = random_events(np.random.default_rng(3), 300, "
+            "900, 12_000)\n"
+            "model = fit_events(community, np.arange(len(community.sign)), "
+            "FitConfig())\n"
             "fitted = index.pack(model)\n"
             "print(obj.hex(), hashlib.sha256(grad.tobytes() + "
             "hv.tobytes() + fitted.tobytes() + "
@@ -239,8 +264,8 @@ class TestObjective:
 
 def dense_hessian(hess, index):
     """The full matrix of a BlockHessian, entry by entry."""
-    n_q = len(index.q_keys)
-    nu = [index.nu_base + k for k in range(len(index.nu_keys))]
+    n_q = len(index.answer_slots)
+    nu = [index.nu_base + k for k in range(len(index.questions))]
     out = np.zeros((index.size, index.size))
     for a in range(n_q):
         out[a, a] = hess.q_diag[a]
@@ -306,11 +331,9 @@ class TestBlockHessian:
         # one answer whose votes all see R = 1 and rank 1: the q, R and
         # 1/(1+D) columns are collinear, so without a penalty the Hessian
         # is singular and only a damped solve has positive pivots
-        keys = [("q", "a")]
-        events = event_columns([(("q", "a"), 1, ctx(rank=1, ratio=1.0))
-                                for _ in range(4)])
-        index = ParameterIndex(keys, [])
-        data = EncodedEvents(index, events)
+        index, data = encode(event_community(
+            [(("q", "a"), 1, ctx(rank=1, ratio=1.0)) for _ in range(4)]),
+            use_length=False)
         theta = np.zeros(index.size)
         hess = BlockHessian(theta, data, 0.0)
         grad = objective_and_grad(theta, data, 0.0)[1]

@@ -1,9 +1,10 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cva.model import model_to_json
+from cva.model import ParameterIndex, model_to_json
 from cva.simulate import SimConfig, generate, toy_scenario
 from cva.trainer import (FitConfig, TOY_TICKS, fit, fit_events,
                          fit_prefixes, parse_fit_config, toy_quality_curves,
@@ -87,8 +88,7 @@ class TestFit:
         trajs, _ = generate(SimConfig(n_questions=10, n_events=300,
                                       crp_alpha=1.0, seed=3))
         model = fit(trajs, FitConfig())
-        events = training_events(trajs)
-        _, grad = nll_and_grad(model, events)
+        _, grad = nll_and_grad(model, trajs, training_events(trajs))
         assert np.max(np.abs(grad)) == pytest.approx(
             model.fit_meta["final_grad_norm"], rel=1e-9, abs=1e-12)
 
@@ -102,7 +102,8 @@ class TestFit:
 
     def test_zero_events_error(self):
         with pytest.raises(ValueError):
-            fit_events([], FitConfig())
+            fit_events(toy_scenario("s1a"), np.zeros(0, dtype=int),
+                       FitConfig())
 
     def test_nonconvergence_flagged(self):
         trajs, _ = generate(SimConfig(n_questions=10, n_events=300,
@@ -142,11 +143,49 @@ class TestFit:
         trajs, _ = generate(SimConfig(n_questions=10, n_events=300,
                                       crp_alpha=1.0, seed=3))
         model = fit(trajs, FitConfig())
-        rows = training_events(trajs).rows
+        rows = training_events(trajs)
         for qid, aid in map(trajs.answer_keys.__getitem__,
                             trajs.answer_slot[rows].tolist()):
             assert aid in model.q[qid]
             assert qid in model.nu
+
+    def test_numeric_string_ids(self):
+        # ids as `cva ingest` writes them are numeric strings, whose
+        # string order ("10" < "9") is not the order of the answer slots
+        base, _ = generate(SimConfig(n_questions=30, n_events=1_200,
+                                     crp_alpha=0.5, true_lambda=1.0,
+                                     true_beta=2.0, seed=4))
+
+        def renamed(question_id, answer_id):
+            return replay_community(
+                replace(t, question_id=question_id(i), answers=tuple(
+                    replace(a, answer_id=answer_id(i, j))
+                    for j, a in enumerate(t.answers)))
+                for i, t in enumerate(base))
+
+        numeric = renamed(lambda i: str(i + 8), lambda i, j: str(j + 8))
+        padded = renamed(lambda i: f"q{i:04d}",
+                         lambda i, j: f"q{i:04d}-a{j:04d}")
+        index = ParameterIndex(numeric, training_events(numeric))
+        keys = [numeric.answer_keys[s] for s in index.answer_slots.tolist()]
+        assert np.all(np.diff(index.answer_slots) > 0)
+        assert keys != sorted(keys)
+
+        model = fit(numeric, FitConfig())
+        back = index.unpack(index.pack(model), model.l2_weight,
+                            model.fit_meta)
+        assert model_to_json(back) == model_to_json(model)
+
+        want = fit(padded, FitConfig())
+        (got_modelled, *got), (want_modelled, *wanted) = \
+            model.by_slot(numeric), want.by_slot(padded)
+        assert got_modelled.tolist() == want_modelled.tolist()
+        for got_array, want_array in zip(got, wanted):
+            assert np.max(np.abs(got_array - want_array)) <= 1e-12
+        assert abs(model.lam - want.lam) <= 1e-12
+        assert abs(model.beta - want.beta) <= 1e-12
+        assert [model.fit_meta[k] for k in ("iterations", "converged")] == \
+            [want.fit_meta[k] for k in ("iterations", "converged")]
 
 
 class TestFitConfigFile:

@@ -394,8 +394,7 @@ def test_bool_vote_value_named_as_written(tmp_path, event, message):
 
 
 def test_true_inside_a_string_loads(tmp_path):
-    # a `true` that is not a bool sends the line through the vote scan,
-    # which finds no fault
+    # a `true` inside a string is no bool: the votes' type check passes
     obj = dict(_line(), question_id="true false true")
     path = tmp_path / "t.jsonl"
     path.write_text(json.dumps(obj) + "\n")
@@ -429,6 +428,14 @@ class TestRecordTypes:
         with pytest.raises(ValueError, match="too many values to unpack"):
             replay(traj)
 
+    def test_votes_whose_lengths_add_up_to_triples(self):
+        # six values, but no vote is a triple: read as flat thirds they
+        # would make two valid votes
+        traj = QuestionTrajectory("q", (Answer("a0", 0, 10),),
+                                  ((0, 1), (5, 0, 1, 20)))
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            replay(traj)
+
     def test_answer(self):
         traj = QuestionTrajectory("q", (Answer("a0", 0.5, 10),), ())
         with pytest.raises(MalformedTrajectoryError) as info:
@@ -450,8 +457,8 @@ def test_failed_line_leaves_no_votes():
     records = _Records()
     bad = _line(events=[_event(0, 10), _event(1, 20, sign=True)])
     with pytest.raises(MalformedTrajectoryError):
-        records.add_json(bad, json.dumps(bad))
-    records.add_json(_line(), json.dumps(_line()))
+        records.add_json(bad)
+    records.add_json(_line())
     assert_same_columns(records.community(), trajectory_from_json(_line()))
 
 
