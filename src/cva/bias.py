@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,8 +24,9 @@ log = logging.getLogger(__name__)
 
 
 class NoEventsToScoreError(ValueError):
-    """No vote is left to score: none after the first votes are dropped,
-    or none on an answer the model has."""
+    """No vote is left to score: the community has none, none is left
+    after the first votes are dropped, or none is on an answer the model
+    has."""
 
 
 @dataclass
@@ -109,14 +110,7 @@ def map_coordinates(profiles: Sequence[BiasProfile]
 
 
 def profile_to_json(profile: BiasProfile) -> dict:
-    return {
-        "community": profile.community,
-        "position_sensitivity": profile.position_sensitivity,
-        "herding_degree": profile.herding_degree,
-        "n_events": profile.n_events,
-        "median_flags": list(profile.median_flags)
-        if profile.median_flags is not None else None,
-    }
+    return asdict(profile)  # JSON writes the flags tuple as a list
 
 
 def profile_from_json(obj: dict) -> BiasProfile:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import logging
 import sys
@@ -97,8 +98,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_fit(args) -> int:
     config = parse_fit_config(args.config) if args.config else FitConfig()
     if args.freeze_beta is not None:
-        config = FitConfig(**{**config.__dict__,
-                              "freeze_beta": args.freeze_beta})
+        config = dataclasses.replace(config, freeze_beta=args.freeze_beta)
     trajs = read_trajectories(args.input)
     try:
         model = fit(trajs, config)
@@ -121,10 +121,14 @@ def _cmd_quality(args) -> int:
     trajs = read_trajectories(args.input)
     population = build_population(trajs)
     aggregate = "per_time_sum" if args.mode == "per-time-sum" else "mean"
-    q_hat = estimate_quality(model, trajs, population, aggregate=aggregate,
-                             integrate_length=args.integrate_length == "true")
-    rows = [(qid, aid, model.q[qid][aid], value)
-            for (qid, aid), value in sorted(q_hat.items())]
+    modelled, q_hat = estimate_quality(
+        model, trajs, population, aggregate=aggregate,
+        integrate_length=args.integrate_length == "true")
+    _, q, _ = model.by_slot(trajs)
+    # answer keys are distinct: the rows sort by (question_id, answer_id)
+    rows = sorted((*key, q_s, value) for key, has, q_s, value in zip(
+        trajs.answer_keys, modelled.tolist(), q.tolist(), q_hat.tolist())
+        if has)
     _write_csv(args.out, ["question_id", "answer_id", "q", "Q_hat"], rows)
     print(f"answers scored: {len(rows)}")
     return EX_OK
@@ -165,11 +169,7 @@ def _cmd_profile(args) -> int:
     model = load_model(args.model)
     trajs = read_trajectories(args.input)
     community = args.community or Path(args.input).stem
-    try:
-        profile = profile_community(model, trajs, community=community)
-    except NoEventsToScoreError:
-        print(f"cva: {args.input}: no votes to score", file=sys.stderr)
-        return EX_COMMUNITY_TOO_SMALL
+    profile = profile_community(model, trajs, community=community)
     save_profile(profile, args.out)
     print(f"position_sensitivity: {profile.position_sensitivity:.6f}")
     print(f"herding_degree: {profile.herding_degree:.6f}")
@@ -348,6 +348,9 @@ def main(argv=None) -> int:
     except (InputError, MalformedTrajectoryError) as exc:
         print(f"cva: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except NoEventsToScoreError:  # quality, profile and evaluate
+        print(f"cva: {args.input}: no votes to score", file=sys.stderr)
+        return EX_COMMUNITY_TOO_SMALL
 
 
 if __name__ == "__main__":

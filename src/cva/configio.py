@@ -45,7 +45,8 @@ def utf8_lines(path, fh: Iterable[str]) -> Iterator[str]:
 
 def read_json(path):
     """The JSON value in `path`; InputError, with the line, for a file
-    that is not UTF-8 or not JSON."""
+    that is not UTF-8 or not JSON, and without it for JSON nested too
+    deeply to read."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         text = "".join(utf8_lines(path, fh))
     try:
@@ -53,6 +54,8 @@ def read_json(path):
     except json.JSONDecodeError as exc:
         raise InputError(path, f"invalid JSON: {exc.msg} at column "
                                f"{exc.colno}", exc.lineno) from None
+    except RecursionError:
+        raise InputError(path, "invalid JSON: nested too deeply") from None
 
 
 def _json_kind(value) -> str:

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bias import NoEventsToScoreError
 from .model import CommunityModel, vote_probs
 from .trajectory import Community
 
@@ -108,7 +109,10 @@ def _distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def build_population(c: Community) -> ContextPopulation:
-    """Collect every vote context in the community into a population."""
+    """Collect every vote context in the community into a population;
+    NoEventsToScoreError for a community without votes."""
+    if not len(c.sign):
+        raise NoEventsToScoreError("no votes to score")
     return ContextPopulation(ratios=c.pos_ratio,
                              ranks=c.rank.astype(float),
                              lengths=c.rel_length, times=c.time_index)
@@ -140,8 +144,9 @@ def estimate_quality(model: CommunityModel, c: Community,
                      population: ContextPopulation,
                      aggregate: str = "mean",
                      integrate_length: bool = False
-                     ) -> dict[tuple[str, str], float]:
-    """Debiased quality per (question_id, answer_id).
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(modelled, q_hat), one entry per answer slot of `c`: whether the
+    model has the answer and its debiased quality (0.0 if not).
 
     "mean" averages the vote probability over the population once per
     answer; "per_time_sum" sums the per-relative-time averages over the
@@ -159,11 +164,11 @@ def estimate_quality(model: CommunityModel, c: Community,
         log.warning("%d answers not in model, skipped (first: %s/%s)",
                     c.n_answers - len(slots),
                     *c.answer_keys[np.argmin(modelled)])
+    q_hat = np.zeros(c.n_answers)
     if not len(slots):
-        return {}
-    keys = [c.answer_keys[s] for s in slots.tolist()]
+        return modelled, q_hat
     q, nu = q[slots], nu[slots]
-    rel_len = np.asarray(c.final_rel_lengths())[slots]
+    rel_len = c.final_rel_length[slots]
     n_votes = np.bincount(c.answer_slot, minlength=c.n_answers)[slots]
 
     def means(t: Optional[int], rows=slice(None)) -> np.ndarray:
@@ -178,24 +183,23 @@ def estimate_quality(model: CommunityModel, c: Community,
                            ranks, lengths, counts)
 
     if aggregate == "mean":
-        return dict(zip(keys, means(None).tolist()))
+        q_hat[slots] = means(None)
+        return modelled, q_hat
     # Answers by descending vote count: time index t adds to a prefix.
     order = np.argsort(-n_votes, kind="stable")
-    q, nu, rel_len, n_votes = (a[order] for a in (q, nu, rel_len, n_votes))
+    slots, q, nu, rel_len, n_votes = (
+        a[order] for a in (slots, q, nu, rel_len, n_votes))
     n_at_least = np.cumsum(np.bincount(n_votes)[::-1])[::-1]
-    values = np.zeros(len(keys))
     fallback = None
     for t in range(1, int(n_votes[0]) + 1):
         rows = slice(0, int(n_at_least[t]))
         if population.has_time_slice(t):
-            values[rows] += means(t, rows)
+            q_hat[slots[rows]] += means(t, rows)
         else:
             if fallback is None:  # later fallbacks need fewer rows
                 fallback = means(None, rows)
-            values[rows] += fallback[rows]
-    out = np.empty(len(keys))
-    out[order] = values
-    return dict(zip(keys, out.tolist()))
+            q_hat[slots[rows]] += fallback[rows]
+    return modelled, q_hat
 
 
 MOODS = ("pos", "neutral", "neg")
@@ -242,7 +246,7 @@ def counterfactual_curve(model: CommunityModel, c: Community,
         slots = np.flatnonzero(modelled & ~np.isnan(mean_ratio))
         ratio = mean_ratio[slots]
     q, nu = q[slots], nu[slots]
-    rel_len = np.asarray(c.final_rel_lengths())[slots]
+    rel_len = c.final_rel_length[slots]
     rank_grid = np.arange(1, ranks + 1, dtype=float)
     total = np.zeros(ranks)
     n_answers = len(slots)

@@ -13,7 +13,7 @@ answers are ranked and scored together, as arrays.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -185,25 +185,7 @@ class EvaluationReport:
     insufficient_data: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "n_questions": self.n_questions,
-            "n_skipped": self.n_skipped,
-            "mean_tau": dict(self.mean_tau),
-            "residual_sum": dict(self.residual_sum),
-            "p_values": {m: dict(by_b) for m, by_b in self.p_values.items()},
-            "per_question_tau": {r: list(v)
-                                 for r, v in self.per_question_tau.items()},
-            "insufficient_data": self.insufficient_data,
-        }
-
-
-def _slot_scores(scores: Mapping, keys: Sequence
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, found) of `keys` in `scores`, one dict lookup per key;
-    a missing value reads 0.0."""
-    got = [scores.get(key) for key in keys]
-    return (np.array([0.0 if v is None else v for v in got], dtype=float),
-            np.array([v is not None for v in got], dtype=bool))
+        return asdict(self)
 
 
 def evaluate_rankers(community: Community,
@@ -224,16 +206,15 @@ def evaluate_rankers(community: Community,
         raise ValueError(f"unknown cva_score {cva_score!r}")
     c = community
     population = build_population(c)
-    truth, has_truth = _slot_scores(truth_scores,
-                                    [aid for _, aid in c.answer_keys])
+    labels = [truth_scores.get(aid) for _, aid in c.answer_keys]
+    truth = np.array([0.0 if v is None else v for v in labels], dtype=float)
+    has_truth = np.array([v is not None for v in labels], dtype=bool)
     diffs = np.bincount(c.answer_slot, weights=c.sign, minlength=c.n_answers)
     if cva_score == "q":
         has_cva, cva, _ = model.by_slot(c)
     else:
-        cva, has_cva = _slot_scores(estimate_quality(model, c, population),
-                                    c.answer_keys)
-    ablation, has_ablation = _slot_scores(
-        estimate_quality(ablation_model, c, population), c.answer_keys)
+        has_cva, cva = estimate_quality(model, c, population)
+    has_ablation, ablation = estimate_quality(ablation_model, c, population)
     # (truth + rankers in RANKERS order, answer slots)
     scores = np.array([truth, diffs, cva, ablation])
     usable = has_truth & has_cva & has_ablation

@@ -104,40 +104,13 @@ _CONVERTERS = {
 }
 
 
-def _parse_row(text: str) -> tuple[str, dict]:
-    """(tag, attributes) of the element that `text` holds, exactly as
-    `ET.fromstring(text)` reads them; ET.ParseError where it fails.
-
-    A line that starts with `<row` is read by one bare expat parser in
-    ElementTree's namespace mode, about twice as fast as building an
-    ElementTree. Anything expat rejects and any namespaced name goes
-    through ElementTree itself, so its names and error messages stay
-    ElementTree's own.
-    """
-    if text.startswith("<row"):
-        found = []
-        parser = expat.ParserCreate(None, "}")
-        parser.StartElementHandler = lambda tag, attrs: \
-            found.append((tag, attrs))
-        try:
-            parser.Parse(text, True)
-        except expat.ExpatError:
-            pass
-        else:
-            tag, attrs = found[0]
-            if "}" not in tag and "}" not in "".join(attrs):
-                return tag, attrs
-    elem = ET.fromstring(text)
-    return elem.tag, elem.attrib
-
-
 # Dump lines read, and plain rows parsed together, at a time.
 _BLOCK_LINES = 256
 
 
 def _parse_block(texts: list[str]) -> list[Optional[tuple[str, dict]]]:
     """(tag, attributes) of each plain row line of a block of stripped
-    lines, as `_parse_row` reads it; None for every other line.
+    lines, as `ET.fromstring` reads it; None for every other line.
 
     The plain lines are read by one expat parse of them all, wrapped in
     a synthetic element. A plain line is UTF-8 (a lone surrogate would
@@ -203,12 +176,16 @@ def _iter_rows(path, rejects: RejectLog, kind: str
                         continue
                     if "<row" not in stripped:
                         continue
-                    try:
-                        row = _parse_row(stripped)
-                    except ET.ParseError as exc:
-                        rejects.add(lineno,
-                                    f"{kind}: malformed XML row ({exc})")
-                        continue
+                    # read alone: by expat if plain, else by ElementTree
+                    row = _parse_block([stripped])[0]
+                    if row is None:
+                        try:
+                            elem = ET.fromstring(stripped)
+                        except ET.ParseError as exc:
+                            rejects.add(lineno,
+                                        f"{kind}: malformed XML row ({exc})")
+                            continue
+                        row = elem.tag, elem.attrib
                 tag, attrs = row
                 if tag != "row":
                     rejects.add(lineno, f"{kind}: unexpected element <{tag}>")

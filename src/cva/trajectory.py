@@ -281,8 +281,7 @@ class _Records:
         acc[owner] = answer_pos - answer_start[owner]
         acc_key[owner] = [answers[i].acceptance_time
                           for i in answer_pos.tolist()]
-        log_len = np.fromiter(map(math.log, text_length.tolist()),
-                              dtype=float, count=len(answers))
+        log_len = _log_lengths(text_length.tolist())
         contexts = _replay_contexts(n_answers, answer_start, created, log_len,
                                     acc, acc_key, n_votes, vote_start,
                                     answer_index, sign, timestamp)
@@ -432,6 +431,27 @@ def _replay_contexts(n_answers, answer_start, created, log_len, acc,
             "prior_pos": prior_pos, "prior_neg": prior_neg}
 
 
+def _log_lengths(text_length: list[int]) -> np.ndarray:
+    """`math.log` of each text length; `np.log` can differ from it in the
+    last bit."""
+    return np.fromiter(map(math.log, text_length), dtype=float,
+                       count=len(text_length))
+
+
+def _final_rel_length(n_answers, answer_start, log_len) -> np.ndarray:
+    """Each answer slot's log-length minus its question's mean log-length,
+    clipped. Questions with k answers are taken together, a row each;
+    `np.cumsum` along a row adds left to right, as `sequential_sum` does."""
+    out = np.empty(len(log_len))
+    for k in np.unique(n_answers[n_answers > 0]).tolist():
+        slots = answer_start[n_answers == k, None] + np.arange(k)
+        log_lens = log_len[slots]
+        mean = np.cumsum(log_lens, axis=1)[:, -1] / k
+        out[slots] = np.clip(log_lens - mean[:, None], -REL_LENGTH_CLIP,
+                             REL_LENGTH_CLIP)
+    return out
+
+
 class Community(Sequence[QuestionTrajectory]):
     """A community's questions and answers plus one row per vote.
 
@@ -442,8 +462,11 @@ class Community(Sequence[QuestionTrajectory]):
     `pos_ratio`, `rel_length`, `prior_pos`, `prior_neg`), `answer_slot`
     and `first_vote`, true on each answer's chronologically first vote.
     Answer slots number the community's answers question by question in
-    answer order; `answer_keys[slot]` is (question_id, answer_id) and
-    `answer_question[slot]` the index of its question.
+    answer order; `answer_keys[slot]` is (question_id, answer_id),
+    `answer_question[slot]` the index of its question and
+    `final_rel_length[slot]` its relative length at the end of the
+    question: its log-length centred over all the question's answers,
+    clipped as the contexts are.
 
     It is also a read-only sequence of the questions' raw records
     (QuestionTrajectory), each built on access from column slices.
@@ -463,10 +486,10 @@ class Community(Sequence[QuestionTrajectory]):
                                  for a in ans)
         self.n_answers = len(self.answer_keys)
         self.event_starts = np.concatenate(([0], np.cumsum(n_events)))
-        per_question = [len(a) for a in answers]
-        answer_starts = np.cumsum([0] + per_question)
+        per_question = np.array([len(a) for a in answers], dtype=np.int64)
+        answer_starts = np.concatenate(([0], np.cumsum(per_question)))
         self.answer_question = np.repeat(np.arange(len(question_ids)),
-                                         np.array(per_question, dtype=int))
+                                         per_question)
         self.question = np.repeat(np.arange(len(question_ids)), n_events)
         self.answer_index = answer_index
         self.sign = sign
@@ -477,6 +500,9 @@ class Community(Sequence[QuestionTrajectory]):
         self.rel_length = rel_length
         self.prior_pos = prior_pos
         self.prior_neg = prior_neg
+        self.final_rel_length = _final_rel_length(
+            per_question, answer_starts[:-1],
+            _log_lengths([a.text_length for ans in answers for a in ans]))
         self.answer_slot = answer_starts[self.question] + answer_index
         self.first_vote = np.zeros(len(sign), dtype=bool)
         self.first_vote[np.unique(self.answer_slot, return_index=True)[1]] \
@@ -484,8 +510,8 @@ class Community(Sequence[QuestionTrajectory]):
         for column in (self.event_starts, self.question,
                        self.answer_question, answer_index, sign,
                        timestamp, time_index, rank, pos_ratio, rel_length,
-                       prior_pos, prior_neg, self.answer_slot,
-                       self.first_vote):
+                       prior_pos, prior_neg, self.final_rel_length,
+                       self.answer_slot, self.first_vote):
             column.setflags(write=False)
 
     def __len__(self) -> int:
@@ -501,18 +527,6 @@ class Community(Sequence[QuestionTrajectory]):
                            self.timestamp[rows].tolist()))
         return QuestionTrajectory(self.question_ids[i], self.answers[i],
                                   events)
-
-    def final_rel_lengths(self) -> list[float]:
-        """Every answer's relative length at the end of its question, by
-        answer slot: its log-length centred over all the question's
-        answers, clipped as the contexts are."""
-        out = []
-        for answers in self.answers:
-            log_len = [math.log(a.text_length) for a in answers]
-            mean_ll = sequential_sum(log_len) / max(len(log_len), 1)
-            out += [max(-REL_LENGTH_CLIP, min(REL_LENGTH_CLIP, ll - mean_ll))
-                    for ll in log_len]
-        return out
 
 
 def replay_community(trajectories: Iterable[QuestionTrajectory]
@@ -588,6 +602,8 @@ def write_trajectories(trajs: Iterable[QuestionTrajectory], path) -> None:
 
 
 def _reason(exc: Exception) -> str:
+    if isinstance(exc, RecursionError):
+        return "invalid JSON: nested too deeply"
     if isinstance(exc, json.JSONDecodeError):
         return f"invalid JSON: {exc.msg} at column {exc.colno}"
     if isinstance(exc, KeyError):
@@ -616,7 +632,8 @@ def read_trajectories(path) -> Community:
                 try:
                     records.add_json(json.loads(line))
                     continue
-                except (ValueError, TypeError, KeyError) as exc:
+                except (ValueError, TypeError, KeyError,
+                        RecursionError) as exc:
                     reason = _reason(exc)
             # an earlier line's, or this line's, broken rule
             records.community(at_line)

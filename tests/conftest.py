@@ -8,6 +8,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from cva.counterfactual import estimate_quality
 from cva.model import (CommunityModel, EncodedEvents, ParameterIndex,
                        objective_and_grad, vote_probs)
 from cva.trajectory import (NEUTRAL_POS_RATIO, REL_LENGTH_CLIP, Answer,
@@ -52,7 +53,7 @@ def assert_same_contexts(got: list[Context], want: list[Context]):
 
 COLUMNS = ("event_starts", "question", "answer_index", "sign", "timestamp",
            "time_index", "rank", "pos_ratio", "rel_length", "prior_pos",
-           "prior_neg", "answer_slot", "first_vote")
+           "prior_neg", "answer_slot", "first_vote", "final_rel_length")
 
 
 def assert_same_columns(got: Community, want: Community):
@@ -205,6 +206,16 @@ def trajectory_from_json(obj: dict) -> Community:
     records = _Records()
     records.add_json(obj)
     return records.community()
+
+
+def quality_by_key(model: CommunityModel, community: Community, population,
+                   **options) -> dict[tuple[str, str], float]:
+    """`estimate_quality`'s (modelled, q_hat) by answer slot as
+    {(question_id, answer_id): Q_hat} over the modelled answers."""
+    modelled, q_hat = estimate_quality(model, community, population,
+                                       **options)
+    return {key: value for key, has, value in zip(
+        community.answer_keys, modelled.tolist(), q_hat.tolist()) if has}
 
 
 def encode(community: Community, rows=None, use_length=True,

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cva.counterfactual import build_population, estimate_quality
+from conftest import quality_by_key
+from cva.counterfactual import build_population
 from cva.evaluation import (BOOTSTRAP_RESAMPLES, MIN_QUESTIONS_FOR_TEST,
                             RANKER_CVA, RANKER_NO_POSITION, RANKER_VOTE_DIFF,
                             RANKERS, EvaluationReport,
@@ -165,9 +166,8 @@ def evaluate_rankers(community, model, ablation_model, truth_scores, seed,
         cva_scores = {(qid, aid): q for qid, by_a in model.q.items()
                       for aid, q in by_a.items()}
     else:
-        cva_scores = estimate_quality(model, community, population)
-    ablation_scores = estimate_quality(ablation_model, community,
-                                       population)
+        cva_scores = quality_by_key(model, community, population)
+    ablation_scores = quality_by_key(ablation_model, community, population)
     sets, skipped = build_ranking_sets(
         [(record.question_id, record.answers) for record in community],
         truth_scores,

@@ -10,12 +10,13 @@ import pytest
 
 import cva
 from cva.cli import main
+from cva.counterfactual import build_population
 from cva.evaluation import evaluate_rankers
 from cva.model import CommunityModel, load_model, save_model
 from cva.simulate import toy_scenario
 from cva.trajectory import (Answer, QuestionTrajectory, read_trajectories,
                             write_trajectories)
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, quality_by_key
 
 SIM_CFG = """\
 n_questions = 25
@@ -188,6 +189,74 @@ class TestQuality:
             assert run("quality", "--model", str(workspace / "model.json"),
                        "--input", str(path), "--out", str(out_path)) == 0
         assert out.read_bytes() == ref.read_bytes()
+
+
+    def test_rows_sorted_by_string_ids(self, tmp_path):
+        # ids as `cva ingest` writes them: numeric strings, in numeric
+        # order in the file, so "10" sorts before "9"
+        trajs = tmp_path / "T.jsonl"
+        write_trajectories([
+            QuestionTrajectory("9", (Answer("98", 0, 120),
+                                     Answer("100", 1, 30)),
+                               ((0, 1, 10), (1, -1, 11), (1, 1, 12))),
+            QuestionTrajectory("10", (Answer("99", 0, 500),
+                                      Answer("101", 1, 60),
+                                      Answer("102", 2, 90)),
+                               ((2, 1, 10), (0, 1, 11)))], trajs)
+        model = CommunityModel(
+            q={"9": {"98": 0.3, "100": -0.4},
+               "10": {"99": 1.1, "102": 0.2}},  # 101 is not in the model
+            nu={"9": 0.5, "10": -0.2}, lam=0.8, beta=1.2)
+        save_model(model, tmp_path / "model.json")
+        community = read_trajectories(trajs)
+        for flags in (["--mode", "mean"], ["--mode", "per-time-sum"],
+                      ["--integrate-length", "true"]):
+            out = tmp_path / "quality.csv"
+            assert run("quality", "--model", str(tmp_path / "model.json"),
+                       "--input", str(trajs), "--out", str(out),
+                       *flags) == 0
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [(r["question_id"], r["answer_id"]) for r in rows] == \
+                [("10", "102"), ("10", "99"), ("9", "100"), ("9", "98")]
+            options = {"aggregate": "per_time_sum"} if "per-time-sum" \
+                in flags else {"integrate_length": "true" in flags}
+            want = quality_by_key(load_model(tmp_path / "model.json"),
+                                  community, build_population(community),
+                                  **options)
+            for r in rows:
+                key = (r["question_id"], r["answer_id"])
+                assert float(r["q"]) == model.q[key[0]][key[1]]
+                assert float(r["Q_hat"]) == want[key]
+
+
+class TestNoVotesToScore:
+    """`quality`, `profile` and `evaluate` on a file without votes exit 2
+    with one `cva: INPUT: no votes to score` line."""
+
+    @pytest.fixture(params=["empty", "unvoted"])
+    def unvoted(self, request, workspace, tmp_path):
+        path = tmp_path / "T.jsonl"
+        lines = []
+        if request.param == "unvoted":
+            for line in (workspace / "T.jsonl").read_text().splitlines():
+                lines.append(json.dumps(dict(json.loads(line), events=[])))
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    @pytest.mark.parametrize("command", ["quality", "profile", "evaluate"])
+    def test_exit_2(self, workspace, tmp_path, capsys, unvoted, command):
+        out = tmp_path / "out"
+        argv = [command, "--model", str(workspace / "model.json"),
+                "--input", str(unvoted), "--out", str(out)]
+        if command == "evaluate":
+            argv += ["--ablation", str(workspace / "ablation.json"),
+                     "--labels", str(workspace / "truth.csv")]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == \
+            f"cva: {unvoted}: no votes to score\n"
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -368,6 +437,7 @@ class TestExitCodes:
                    "--out", str(tmp_path / "m.json")) == 66
 
 
+DEPTH = 100_000  # of JSON nested too deeply to read
 GOOD_LINE = {"question_id": "q",
              "answers": [{"answer_id": "a", "creation_time": 1,
                           "text_length": 10, "accepted": False,
@@ -419,6 +489,15 @@ class TestMalformedTrajectoryFile:
     def test_duplicate_question_id(self, tmp_path, capsys):
         err = self._fit(tmp_path, capsys, json.dumps(GOOD_LINE))
         assert "duplicate question_id 'q' (first on line 1)" in err
+
+    @pytest.mark.parametrize("opened, closed", [("[", "]"), ('{"a":', "}")],
+                             ids=["arrays", "objects"])
+    def test_nested_too_deeply(self, tmp_path, capsys, opened, closed):
+        # far past any recursion limit
+        err = self._fit(tmp_path, capsys,
+                        opened * DEPTH + "1" + closed * DEPTH)
+        assert err == f"cva: {tmp_path / 't.jsonl'}:2: invalid JSON: " \
+                      "nested too deeply\n"
 
 
 @pytest.mark.parametrize("timestamp, reason", [
@@ -679,6 +758,7 @@ class NoScipy:
 
 sys.meta_path.insert(0, NoScipy())
 from cva.cli import main
+from cva.counterfactual import build_population
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 """
 
@@ -790,6 +870,27 @@ class TestModelAndProfileFiles:
                               else f"cva: {path}: {reason}")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "q.csv").exists()
+
+    def test_model_nested_too_deeply(self, workspace, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"q":' * DEPTH + "{}" + "}" * DEPTH + "\n")
+        code = run("quality", "--model", str(path),
+                   "--input", str(workspace / "T.jsonl"),
+                   "--out", str(tmp_path / "q.csv"))
+        assert code == 65
+        assert capsys.readouterr().err == \
+            f"cva: {path}: invalid JSON: nested too deeply\n"
+        assert not (tmp_path / "q.csv").exists()
+
+    def test_profile_nested_too_deeply(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text("[" * DEPTH + "]" * DEPTH)
+        code = run("map", "--profiles", str(path),
+                   "--out", str(tmp_path / "map.csv"))
+        assert code == 65
+        assert capsys.readouterr().err == \
+            f"cva: {path}: invalid JSON: nested too deeply\n"
+        assert not (tmp_path / "map.csv").exists()
 
     def test_model_not_utf8(self, workspace, tmp_path, capsys):
         path = tmp_path / "m.json"

@@ -11,7 +11,7 @@ import pytest
 
 from cva.bias import herding_degree
 from cva.counterfactual import MOODS, build_population, \
-    counterfactual_curve, estimate_quality
+    counterfactual_curve
 from cva.evaluation import evaluate_rankers
 from cva.model import (CommunityModel, EncodedEvents, ParameterIndex,
                        model_to_json, vote_probs)
@@ -20,7 +20,7 @@ from cva.trainer import FitConfig, fit, fit_prefixes, training_events
 from cva.trajectory import (REL_LENGTH_CLIP, read_trajectories,
                             replay_community, sequential_sum,
                             write_trajectories)
-from conftest import contexts, reference_contexts
+from conftest import contexts, quality_by_key, reference_contexts
 import evaluation_reference
 from test_counterfactual import brute_force_quality
 
@@ -207,7 +207,7 @@ class TestScoreStages:
     def test_quality(self, community, aggregate):
         c, trajs, model = community
         pop = build_population(c)
-        got = estimate_quality(model, c, pop, aggregate=aggregate)
+        got = quality_by_key(model, c, pop, aggregate=aggregate)
         want = brute_force_quality(model, trajs, pop, aggregate, False)
         assert got.keys() == want.keys() and got
         for key, value in want.items():

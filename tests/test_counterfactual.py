@@ -14,6 +14,8 @@ from cva.simulate import SimConfig, generate, toy_scenario
 from cva.trainer import FitConfig, fit
 from cva.trajectory import Answer, QuestionTrajectory, replay_community
 
+from conftest import quality_by_key
+
 
 def population(ratios, ranks, lengths=None, times=None):
     n = len(ratios)
@@ -41,14 +43,14 @@ class TestEstimateQuality:
     def test_degenerate_population_recovers_sigmoid(self):
         model = CommunityModel(q={"q": {"q-a": 0.8}}, nu={"q": 0.0})
         pop = population([0.5], [1])
-        out = estimate_quality(model, one(single_answer_traj()), pop)
+        out = quality_by_key(model, one(single_answer_traj()), pop)
         assert out[("q", "q-a")] == pytest.approx(expit(0.8), abs=1e-12)
 
     def test_matches_brute_force_average(self):
         trajs = toy_scenario("s1a")
         model = fit(trajs, FitConfig(use_length=False))
         pop = build_population(trajs)
-        out = estimate_quality(model, trajs, pop)
+        out = quality_by_key(model, trajs, pop)
         for aid in ("A", "B"):
             q = model.q["toy1a"][aid]
             expected = np.mean([
@@ -64,7 +66,7 @@ class TestEstimateQuality:
         answers = (Answer("a0", 0, 100), Answer("a1", 1, 100))
         traj = QuestionTrajectory("q", answers, ())
         pop = population([0.2, 0.8, 0.5], [1, 2, 3])
-        out = estimate_quality(model, one(traj), pop)
+        out = quality_by_key(model, one(traj), pop)
         assert out[("q", "a0")] == out[("q", "a1")]
 
     def test_population_permutation_invariance(self):
@@ -73,11 +75,11 @@ class TestEstimateQuality:
         traj = single_answer_traj()
         ratios = [0.1, 0.9, 0.4, 0.6, 0.5]
         ranks = [1, 2, 3, 4, 5]
-        fwd = estimate_quality(model, one(traj),
-                               population(ratios, ranks))[("q", "q-a")]
-        rev = estimate_quality(model, one(traj),
-                               population(ratios[::-1],
-                                          ranks[::-1]))[("q", "q-a")]
+        fwd = quality_by_key(model, one(traj),
+                             population(ratios, ranks))[("q", "q-a")]
+        rev = quality_by_key(model, one(traj),
+                             population(ratios[::-1],
+                                        ranks[::-1]))[("q", "q-a")]
         assert fwd == pytest.approx(rev, abs=1e-12)
 
     def test_monotone_in_quality(self):
@@ -87,8 +89,8 @@ class TestEstimateQuality:
         for q in np.linspace(-2, 2, 9):
             model = CommunityModel(q={"q": {"q-a": float(q)}},
                                    nu={"q": 0.0}, lam=1.0, beta=1.0)
-            values.append(estimate_quality(model, one(traj),
-                                           pop)[("q", "q-a")])
+            values.append(quality_by_key(model, one(traj),
+                                         pop)[("q", "q-a")])
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_within_question_order_matches_raw_quality(self):
@@ -99,7 +101,7 @@ class TestEstimateQuality:
         answers = tuple(Answer(f"a{i}", i, 100) for i in range(3))
         traj = QuestionTrajectory("q", answers, ())
         pop = population([0.1, 0.5, 0.9], [1, 2, 6])
-        out = estimate_quality(model, one(traj), pop)
+        out = quality_by_key(model, one(traj), pop)
         ordered = sorted(out, key=out.get)
         assert ordered == [("q", "a0"), ("q", "a1"), ("q", "a2")]
 
@@ -108,12 +110,38 @@ class TestEstimateQuality:
         others = [single_answer_traj(question_id=f"other{i}")
                   for i in range(3)]
         with caplog.at_level(logging.WARNING, logger="cva.counterfactual"):
-            out = estimate_quality(model, one(*others),
-                                   population([0.5], [1]))
+            out = quality_by_key(model, one(*others),
+                                 population([0.5], [1]))
         assert out == {}
         assert len(caplog.records) == 1
         assert "3 answers not in model" in caplog.records[0].getMessage()
         assert "other0/other0-a" in caplog.records[0].getMessage()
+
+    @pytest.mark.parametrize("aggregate", ["mean", "per_time_sum"])
+    @pytest.mark.parametrize("integrate_length", [False, True])
+    def test_unmodelled_slots_read_false_and_zero(self, aggregate,
+                                                  integrate_length):
+        # a0 and b0 are not in the model, a0 has votes
+        model = CommunityModel(q={"q": {"a1": 0.4}, "r": {"b1": -0.2}},
+                               nu={"q": 0.3}, lam=1.0, beta=1.5)
+        c = one(QuestionTrajectory("q", (Answer("a0", 0, 50),
+                                         Answer("a1", 1, 400)),
+                                   ((0, 1, 10), (1, 1, 11), (0, -1, 12))),
+                QuestionTrajectory("r", (Answer("b0", 0, 80),
+                                         Answer("b1", 1, 90)),
+                                   ((1, 1, 10),)))
+        options = {"aggregate": aggregate,
+                   "integrate_length": integrate_length}
+        modelled, q_hat = estimate_quality(model, c, build_population(c),
+                                           **options)
+        assert modelled.dtype == bool and q_hat.dtype == float
+        assert modelled.tolist() == [False, True, False, True]
+        assert q_hat[~modelled].tolist() == [0.0, 0.0]
+        assert (q_hat[modelled] > 0.0).all()
+        modelled, q_hat = estimate_quality(CommunityModel(q={}, nu={}), c,
+                                           build_population(c), **options)
+        assert modelled.tolist() == [False] * 4
+        assert q_hat.tolist() == [0.0] * 4
 
     def test_per_time_sum_mode(self):
         model = CommunityModel(q={"q": {"q-a": 0.2}}, nu={"q": 0.0},
@@ -123,8 +151,8 @@ class TestEstimateQuality:
         ranks = [1] * 30 + [9] * 30
         times = [1] * 30 + [2] * 30
         pop = population(ratios, ranks, times=times)
-        out = estimate_quality(model, one(traj), pop,
-                               aggregate="per_time_sum")
+        out = quality_by_key(model, one(traj), pop,
+                             aggregate="per_time_sum")
         expected = expit(0.2 + 1.0 + 0.5) + expit(0.2 + 0.1)
         assert out[("q", "q-a")] == pytest.approx(float(expected),
                                                   abs=1e-12)
@@ -137,8 +165,8 @@ class TestEstimateQuality:
         ratios = [1.0] * 30 + [0.0] * 30 + [0.5]
         times = [1] * 30 + [2] * 30 + [3]
         pop = population(ratios, [1] * 61, times=times)
-        out = estimate_quality(model, one(traj), pop,
-                               aggregate="per_time_sum")
+        out = quality_by_key(model, one(traj), pop,
+                             aggregate="per_time_sum")
         global_mean = float(np.mean(expit(np.asarray(ratios))))
         expected = expit(1.0) + expit(0.0) + global_mean
         assert out[("q", "q-a")] == pytest.approx(float(expected),
@@ -148,9 +176,9 @@ class TestEstimateQuality:
         model = CommunityModel(q={"q": {"q-a": 0.0}}, nu={"q": 1.0})
         traj = single_answer_traj()
         pop = population([0.5, 0.5], [1, 1], lengths=[-2.0, 2.0])
-        fixed = estimate_quality(model, one(traj), pop)[("q", "q-a")]
-        integ = estimate_quality(model, one(traj), pop,
-                                 integrate_length=True)[("q", "q-a")]
+        fixed = quality_by_key(model, one(traj), pop)[("q", "q-a")]
+        integ = quality_by_key(model, one(traj), pop,
+                               integrate_length=True)[("q", "q-a")]
         assert fixed == pytest.approx(0.5)  # own rel length is 0
         expected = 0.5 * (expit(-2.0) + expit(2.0))
         assert integ == pytest.approx(float(expected), abs=1e-12)
@@ -161,9 +189,9 @@ class TestEstimateQuality:
         traj = single_answer_traj()
         rng = np.random.default_rng(0)
         big = population(rng.random(150_000), np.ones(150_000))
-        a = estimate_quality(model, one(traj), big)[("q", "q-a")]
+        a = quality_by_key(model, one(traj), big)[("q", "q-a")]
         big2 = population(big.ratios, big.ranks)
-        b = estimate_quality(model, one(traj), big2)[("q", "q-a")]
+        b = quality_by_key(model, one(traj), big2)[("q", "q-a")]
         assert a == b
 
     def test_empty_population_rejected(self):
@@ -237,8 +265,8 @@ class TestQualityOracle:
         full = [pop.has_time_slice(t) for t in range(1, max_votes + 1)]
         assert any(full) and not all(full)
         assert len(pop.time_slice(1)[0]) >= TIME_SLICE_MIN
-        got = estimate_quality(model, trajs, pop, aggregate=aggregate,
-                               integrate_length=integrate_length)
+        got = quality_by_key(model, trajs, pop, aggregate=aggregate,
+                             integrate_length=integrate_length)
         self.assert_matches(got, brute_force_quality(
             model, trajs, pop, aggregate, integrate_length))
 
@@ -252,8 +280,8 @@ class TestQualityOracle:
         assert len(pop.global_samples()[0]) < n
         trajs = one(*trajs[:3])
         for integrate_length in (False, True):
-            got = estimate_quality(model, trajs, pop,
-                                   integrate_length=integrate_length)
+            got = quality_by_key(model, trajs, pop,
+                                 integrate_length=integrate_length)
             self.assert_matches(got, brute_force_quality(
                 model, trajs, pop, "mean", integrate_length))
 

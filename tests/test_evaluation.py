@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import evaluation_reference as reference
+from conftest import quality_by_key
 from cva import evaluation
-from cva.counterfactual import build_population, estimate_quality
+from cva.counterfactual import build_population
 from cva.evaluation import (EvaluationReport, NoRankableQuestionsError,
                             evaluate_rankers, kendall_tau,
                             paired_significance, rank_answers, rank_zscores,
@@ -283,8 +284,8 @@ class TestEvaluationOracle:
         tied = partial = insufficient = 0
         for seed in range(40):
             community, model, _, truth = oracle_case(seed)
-            q_hat = estimate_quality(model, community,
-                                     build_population(community))
+            q_hat = quality_by_key(model, community,
+                                   build_population(community))
             tied += len(set(q_hat.values())) < len(q_hat)
             partial += len(q_hat) < community.n_answers \
                 and len(truth) < community.n_answers

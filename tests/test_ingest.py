@@ -277,12 +277,12 @@ class TestRowParser:
 
     def test_plain_rows_never_read_alone(self, tmp_path, monkeypatch):
         # a dump of plain rows, non-ASCII text among them, is parsed a
-        # block at a time; no line falls back to the per-line parser
+        # block at a time; no line is parsed again alone
         calls = []
-        parse_row = ingest._parse_row
-        monkeypatch.setattr(ingest, "_parse_row",
-                            lambda text: calls.append(text)
-                            or parse_row(text))
+        parse_block = ingest._parse_block
+        monkeypatch.setattr(ingest, "_parse_block",
+                            lambda texts: calls.append(len(texts))
+                            or parse_block(texts))
         bodies = ["b &amp; c", "\u00e9\u4e2d", "x\u00e9"]
         rows = [f'<row Id="{i}" PostTypeId="2" ParentId="1" '
                 f'CreationDate="2020-01-01T10:00:00.000" '
@@ -292,7 +292,7 @@ class TestRowParser:
         write_lines(path, ['<?xml version="1.0" encoding="utf-8"?>',
                            "<posts>", *rows, "</posts>"])
         got = list(ingest._iter_rows(path, RejectLog(), "posts"))
-        assert calls == []
+        assert sum(calls) == len(rows) + 3  # each line in one block
         assert len(got) == len(rows)
         assert_reads_as_reference(path, "posts")
 

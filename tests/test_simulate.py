@@ -84,7 +84,7 @@ class TestGenerate:
             (j, +1, 10 + j) for j in range(3)))
         replayed = replay_community([traj])
         assert [ctx.rel_length for ctx in contexts(replayed)] == want
-        assert replayed.final_rel_lengths() == want
+        assert replayed.final_rel_length.tolist() == want
 
     def test_tiny_alpha_gives_single_answer_questions(self):
         cfg = SimConfig(n_questions=5, n_events=400, crp_alpha=1e-6,

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cva.trajectory import (Answer, Community, MalformedTrajectoryError,
-                            QuestionTrajectory, _Records, read_trajectories,
+from cva.trajectory import (REL_LENGTH_CLIP, Answer, Community,
+                            MalformedTrajectoryError, QuestionTrajectory,
+                            _Records, read_trajectories,
                             reconstruct_contexts, replay_community,
-                            trajectory_to_json_line, write_trajectories)
+                            sequential_sum, trajectory_to_json_line,
+                            write_trajectories)
 import cva.trajectory
 from conftest import (assert_same_columns, assert_same_contexts, contexts,
                       oracle_rank, random_trajectory, reference_contexts,
                       trajectory_from_json)
 from replay_reference import reference_read, reference_replay
+from test_columnar import final_rel_lengths
 
 
 def replay(traj: QuestionTrajectory) -> Community:
@@ -631,19 +634,43 @@ class TestJsonl:
 
 
 def test_final_rel_lengths_no_answers():
-    assert replay(QuestionTrajectory("q", (), ())).final_rel_lengths() == []
+    column = replay(QuestionTrajectory("q", (), ())).final_rel_length
+    assert column.dtype == np.float64 and column.tolist() == []
 
 
 def test_final_rel_lengths_mean_zero(rng):
     for _ in range(20):
         traj = random_trajectory(rng)
-        rels = replay(traj).final_rel_lengths()
+        rels = replay(traj).final_rel_length.tolist()
         raw = [math.log(a.text_length) for a in traj.answers]
         centered = np.array(raw) - np.mean(raw)
         if np.all(np.abs(centered) <= 3.0):
             assert np.isclose(sum(rels), 0.0, atol=1e-9)
         for v in rels:
             assert -3.0 <= v <= 3.0
+
+
+def test_final_rel_length_bit_for_bit(rng):
+    # 1, 2 to 5, and 40 to 60 answers; a third of the questions unvoted
+    trajs = []
+    for i, k in enumerate([1] * 5 + list(range(2, 6)) * 3
+                          + list(range(40, 61)) * 2):
+        answers = tuple(Answer(f"a{j}", j, int(n)) for j, n in
+                        enumerate(rng.integers(1, 100_000, size=k)))
+        events = () if i % 3 == 0 else tuple(
+            (int(j), 1, 100 + t) for t, j in
+            enumerate(rng.integers(0, k, size=3)))
+        trajs.append(QuestionTrajectory(f"q{i}", answers, events))
+    c = replay_community(trajs)
+    assert c.final_rel_length.dtype == np.float64
+    assert not c.final_rel_length.flags.writeable
+    want = [v for traj in trajs for v in final_rel_lengths(traj)]
+    assert [v.hex() for v in c.final_rel_length.tolist()] == \
+        [v.hex() for v in want]
+    # the clip is reached, and a correctly rounded sum would differ
+    assert max(map(abs, want)) == REL_LENGTH_CLIP
+    assert any(sequential_sum(ll) != math.fsum(ll) for ll in (
+        [math.log(a.text_length) for a in traj.answers] for traj in trajs))
 
 
 class TestCommunityColumns:
